@@ -68,7 +68,6 @@ __all__ = [
     "advise_strategy",
     "compile_schedule",
     "example_tree",
-    "execute_schedule",
     "get_strategy",
     "make_query_relations",
     "make_shape",
@@ -90,7 +89,7 @@ __all__ = [
 def __getattr__(name):
     """Lazily expose the heavier subsystems so importing :mod:`repro`
     stays cheap while benchmarks pull in only what they use."""
-    if name in ("MachineConfig", "SimulationResult", "simulate_schedule", "execute_schedule"):
+    if name in ("MachineConfig", "SimulationResult", "simulate_schedule"):
         from . import engine
         return getattr(engine, name)
     if name in ("run", "sweep", "run_workload", "run_cluster"):

@@ -1,13 +1,13 @@
 """The unified execution facade.
 
 Historically the reproduction grew four divergent front-ends — the
-machine simulation (:func:`repro.engine.simulate_strategy`), real
-local execution (:func:`repro.engine.execute_schedule`), the threaded
-dataflow executor (:func:`repro.engine.execute_threaded`), and the
-zero-overhead idealized runs (:func:`repro.engine.ideal_simulation`) —
-each with its own argument spelling.  :func:`run` is the single entry
-point over all four; the legacy names remain available from
-:mod:`repro.engine` as deprecated aliases.
+machine simulation (:func:`repro.engine.simulate.simulate_strategy`),
+real local execution (:func:`repro.engine.local.execute_schedule`), the
+threaded dataflow executor
+(:func:`repro.engine.threaded.execute_threaded`), and the zero-overhead
+idealized runs (:func:`repro.engine.ideal.ideal_simulation`) — each
+with its own argument spelling.  :func:`run` is the single entry point
+over all four; the engines stay importable from their submodules.
 
 Quickstart::
 
@@ -28,12 +28,13 @@ through :func:`run_workload` (the workload engine of
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from .core.cost import Catalog, CostModel
 from .core.shapes import SHAPE_NAMES, make_shape, paper_relation_names
 from .core.strategies import Strategy, get_strategy
 from .core.trees import Join, Leaf, Node, leaves
+from .options import OPTIONS, engine_options
 from .sim.machine import MachineConfig
 from .sim.watchdog import DEFAULT_MAX_EVENTS_PER_INSTANT
 
@@ -406,44 +407,13 @@ def run_workload(
     Returns a :class:`~repro.workload.WorkloadResult`; its
     ``write_jsonl`` emits one deterministic row per query.
     """
+    given = dict(locals())
     _reject_unknown_keywords("run_workload", unknown, RUN_WORKLOAD_KEYWORDS)
-    from .workload import (
-        REJECTED_RETRY_DELAY,
-        WorkloadEngine,
-        make_policy,
-        make_tenants,
-    )
+    from .workload import WorkloadEngine
 
     mix = _resolve_mix(mix_or_shape, strategy, cardinality, relations)
-    tenant_map = make_tenants(tenants)
-    engine = WorkloadEngine(
-        machine_size,
-        make_policy(policy, share),
-        config=config,
-        cost_model=cost_model,
-        skew_theta=skew_theta,
-        max_concurrent=max_concurrent,
-        queue_limit=queue_limit,
-        memory_budget_bytes=memory_budget_bytes,
-        faults=faults,
-        recovery=recovery,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        rejected_retry_delay=(
-            REJECTED_RETRY_DELAY
-            if rejected_retry_delay is None
-            else rejected_retry_delay
-        ),
-        deadline=deadline,
-        deadline_seed=seed,
-        shed=shed,
-        watchdog_limit=watchdog_limit,
-        scheduler=scheduler,
-        pool_size=pool_size,
-        scheduling_cost=scheduling_cost,
-        tenants=tenant_map,
-        fast_path=fast_path,
-    )
+    options = _engine_options(given)
+    engine = WorkloadEngine.from_options(options)
     for when, index in cancellations or ():
         engine.cancel_at(when, index)
     if arrivals == "closed":
@@ -456,8 +426,21 @@ def run_workload(
             seed=seed,
         )
     return engine.run_open(
-        _open_pairs(mix, tenant_map, arrivals, rate, duration, seed)
+        _open_pairs(mix, options["tenants"], arrivals, rate, duration, seed)
     )
+
+
+def _engine_options(given: Dict) -> Dict:
+    """The engine-options dict of one facade call (``given``: its
+    parameters by name): every engine knob of the table at the caller's
+    value, with ``tenants`` resolved to the ``{name: TenantSpec}`` map
+    (the arrival streams need it too) and the deadline draws seeded by
+    ``seed``."""
+    from .workload import make_tenants
+
+    picked = {row.name: given[row.name] for row in OPTIONS if row.engine}
+    picked["tenants"] = make_tenants(picked["tenants"])
+    return engine_options(deadline_seed=given["seed"], **picked)
 
 
 def _resolve_mix(mix_or_shape, strategy, cardinality, relations):
@@ -636,41 +619,13 @@ def run_cluster(
     emits one deterministic row per query (tagged with its shard when
     ``shards > 1``).
     """
+    given = dict(locals())
     _reject_unknown_keywords("run_cluster", unknown, RUN_CLUSTER_KEYWORDS)
     from .cluster import DEFAULT_COOLDOWN, Trace, run_cluster_shards
-    from .workload import REJECTED_RETRY_DELAY, make_tenants
 
     mix = _resolve_mix(mix_or_shape, strategy, cardinality, relations)
-    tenant_map = make_tenants(tenants)
-    engine_options = {
-        "machine_size": machine_size,
-        "policy": policy,
-        "share": share,
-        "config": config,
-        "cost_model": cost_model,
-        "skew_theta": skew_theta,
-        "max_concurrent": max_concurrent,
-        "queue_limit": queue_limit,
-        "memory_budget_bytes": memory_budget_bytes,
-        "rejected_retry_delay": (
-            REJECTED_RETRY_DELAY
-            if rejected_retry_delay is None
-            else rejected_retry_delay
-        ),
-        "deadline": deadline,
-        "deadline_seed": seed,
-        "shed": shed,
-        "watchdog_limit": watchdog_limit,
-        "scheduler": scheduler,
-        "pool_size": pool_size,
-        "scheduling_cost": scheduling_cost,
-        "tenants": tenant_map,
-        "fast_path": fast_path,
-        "faults": faults,
-        "recovery": recovery,
-        "max_retries": max_retries,
-        "retry_backoff": retry_backoff,
-    }
+    shard_options = _engine_options(given)
+    tenant_map = shard_options["tenants"]
     resilient = any(
         value is not None
         for value in (
@@ -701,7 +656,7 @@ def run_cluster(
         return run_resilient_cluster(
             open_arrivals=pairs,
             shards=shards,
-            engine_options=engine_options,
+            engine_options=shard_options,
             placement=placement,
             shard_faults=shard_faults,
             retry_budget=0 if retry_budget is None else retry_budget,
@@ -715,7 +670,7 @@ def run_cluster(
         shards=shards,
         placement=placement,
         autoscale=autoscale,
-        engine_options=engine_options,
+        engine_options=shard_options,
         scale_max=scale_max,
         scale_min=scale_min,
         scale_cooldown=(

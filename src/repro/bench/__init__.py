@@ -9,7 +9,7 @@ from .report import (
     figure_report,
     markdown_figure_section,
 )
-from .runner import all_sweeps, clear_cache, figure_sweeps, sweep
+from .runner import all_sweeps, figure_sweeps, sweep
 from .workloads import (
     Experiment,
     FIGURE_OF_SHAPE,
@@ -45,7 +45,6 @@ __all__ = [
     "ascii_plot",
     "all_sweeps",
     "claims_for_figure",
-    "clear_cache",
     "evaluate_claims",
     "figure14_table",
     "figure_report",

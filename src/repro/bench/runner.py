@@ -1,13 +1,11 @@
-"""Figure sweeps on the parallel runner, memoized in-process.
+"""Figure sweeps on the parallel runner.
 
 The figure benchmarks share sweeps (Figure 14 needs all of Figures
-9–13), so results are memoized per (experiment, config) within the
-process; the actual computation is delegated to the process-parallel
-sweep runner (:mod:`repro.runner`), whose content-addressed disk cache
-(``.repro_cache/``) makes repeated benchmark runs near-instant across
-processes as well.  Use :func:`clear_cache` between calibration
-iterations (it drops the in-process memo only — the disk cache keys on
-every machine constant, so calibration's config changes never collide).
+9–13); the computation is delegated to the process-parallel sweep
+runner (:mod:`repro.runner`), whose content-addressed disk cache
+(``.repro_cache/``) makes a repeated sweep a cache read, within a
+process and across processes.  The cache keys on every machine
+constant, so calibration's config changes never collide.
 """
 
 from __future__ import annotations
@@ -22,16 +20,6 @@ from .workloads import (
     paper_experiments,
 )
 
-_CACHE: Dict[Tuple, SweepResult] = {}
-
-
-def _key(experiment: Experiment, config: MachineConfig, strategies) -> Tuple:
-    return (
-        experiment,
-        config,
-        tuple(strategies) if strategies else None,
-    )
-
 
 def sweep(
     experiment: Experiment,
@@ -39,25 +27,19 @@ def sweep(
     strategies: Optional[Sequence[str]] = None,
 ) -> SweepResult:
     """One experiment's sweep, computed on the parallel runner."""
-    if config is None:
-        config = MachineConfig.paper()
-    key = _key(experiment, config, strategies)
-    if key not in _CACHE:
-        # Imported lazily: repro.runner reaches back into repro.bench
-        # for the SweepResult bridge.
-        from ..core.strategies import strategy_names
-        from ..runner import SweepSpec, run_sweep as run_spec, to_sweep_result
+    # Imported lazily: repro.runner reaches back into repro.bench
+    # for the SweepResult bridge.
+    from ..core.strategies import strategy_names
+    from ..runner import SweepSpec, run_sweep as run_spec, to_sweep_result
 
-        spec = SweepSpec(
-            shapes=(experiment.shape,),
-            strategies=tuple(strategies) if strategies else tuple(strategy_names()),
-            processors=tuple(experiment.processor_counts),
-            cardinalities=(experiment.cardinality,),
-            configs=(config,),
-        )
-        run = run_spec(spec)
-        _CACHE[key] = to_sweep_result(run.rows(), experiment)
-    return _CACHE[key]
+    spec = SweepSpec(
+        shapes=(experiment.shape,),
+        strategies=tuple(strategies) if strategies else tuple(strategy_names()),
+        processors=tuple(experiment.processor_counts),
+        cardinalities=(experiment.cardinality,),
+        configs=(config if config is not None else MachineConfig.paper(),),
+    )
+    return to_sweep_result(run_spec(spec).rows(), experiment)
 
 
 def figure_sweeps(
@@ -77,8 +59,3 @@ def all_sweeps(
         result = sweep(experiment, config)
         out[(experiment.shape, experiment.size_label)] = result
     return out
-
-
-def clear_cache() -> None:
-    """Drop memoized sweeps (used by calibration loops)."""
-    _CACHE.clear()

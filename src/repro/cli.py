@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from .core import Catalog, get_strategy, make_shape, paper_relation_names
 from .core.shapes import SHAPE_NAMES
+from .options import OPTIONS
 from .sim import MachineConfig
 
 #: Default directory for CLI result artifacts (JSONL, traces).  The
@@ -217,57 +218,87 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_workload(args) -> int:
+def _add_knobs(parser: argparse.ArgumentParser, command: str) -> None:
+    """One ``--flag`` per table row that ``command`` exposes
+    (:data:`repro.options.OPTIONS`), at the facade default; a
+    sub-command whose own default differs says so with
+    ``set_defaults``."""
+    for row in OPTIONS:
+        if command not in row.cli:
+            continue
+        kinds = row.kinds
+        typed = {"choices": kinds} if isinstance(kinds[0], str) else {"type": kinds[0]}
+        parser.add_argument(
+            row.flag or "--" + row.name.replace("_", "-"),
+            dest=row.name, default=row.default, help=row.help, **typed,
+        )
+
+
+def _knobs(args, command: str) -> dict:
+    """The facade keywords ``command`` parsed from its table flags."""
+    return {row.name: getattr(args, row.name) for row in OPTIONS if command in row.cli}
+
+
+def _add_serving(parser: argparse.ArgumentParser, command: str) -> None:
+    """What ``workload`` and ``cluster`` share: the table flags plus
+    the CLI-only spellings (file paths, rates that generate schedules,
+    negated toggles) of knobs no flag can carry verbatim."""
+    parser.add_argument("--shape", choices=SHAPE_NAMES, default="wide_bushy",
+                        help="query tree shape (Figure 8)")
+    parser.add_argument("--paper-mix", action="store_true",
+                        help="draw from all five shapes instead of --shape")
+    _add_knobs(parser, command)
+    parser.add_argument("--tenants", default=None, metavar="SPEC_JSON",
+                        help="path to a tenant spec file: "
+                             '{"tenants": [{"name": ..., "weight": ..., '
+                             '"rate": ...}, ...]}')
+    parser.add_argument("--no-fast-path", action="store_true",
+                        help="force every query onto the classic event loop "
+                             "(results are bit-identical either way)")
+    parser.add_argument("--crash-rate", type=float, default=0.0,
+                        help="seeded processor crash rate (crashes/second "
+                             "per machine; 0 = fault-free; each shard draws "
+                             "its own schedule)")
+    parser.add_argument("--repair-time", type=float, default=60.0,
+                        help="seconds until a crashed processor rejoins")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress the summary line")
+
+
+def _serving_kwargs(args, command: str) -> dict:
+    """The facade keywords of a ``workload``/``cluster`` invocation:
+    the table flags, plus ``tenants`` and ``fast_path`` from their
+    CLI-only spellings."""
     import json
 
+    kwargs = _knobs(args, command)
+    if args.tenants is not None:
+        kwargs["tenants"] = json.loads(pathlib.Path(args.tenants).read_text())
+    kwargs["fast_path"] = not args.no_fast_path
+    return kwargs
+
+
+def _processor_faults(args, seed: int):
+    from .faults import FaultSchedule
+
+    return FaultSchedule.generate(
+        machine_size=args.machine_size,
+        horizon=args.duration,
+        seed=seed,
+        crash_rate=args.crash_rate,
+        repair_time=args.repair_time,
+    )
+
+
+def _cmd_workload(args) -> int:
     from .api import run_workload
 
-    tenants = None
-    if args.tenants is not None:
-        tenants = json.loads(pathlib.Path(args.tenants).read_text())
-    faults = None
+    kwargs = _serving_kwargs(args, "workload")
     if args.crash_rate > 0:
-        from .faults import FaultSchedule
-
-        faults = FaultSchedule.generate(
-            machine_size=args.machine_size,
-            horizon=args.duration,
-            seed=args.seed,
-            crash_rate=args.crash_rate,
-            repair_time=args.repair_time,
-        )
-    result = run_workload(
-        args.shape if not args.paper_mix else "paper",
-        arrivals=args.arrivals,
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        machine_size=args.machine_size,
-        policy=args.policy,
-        share=args.share,
-        strategy=args.strategy,
-        cardinality=args.cardinality,
-        relations=args.relations,
-        clients=args.clients,
-        think_time=args.think,
-        queries_per_client=args.queries_per_client,
-        max_concurrent=args.max_concurrent,
-        queue_limit=args.queue_limit,
-        memory_budget_bytes=(
-            args.memory_budget_mb * 1024 * 1024
-            if args.memory_budget_mb is not None else None
-        ),
-        skew_theta=args.skew,
-        faults=faults,
-        recovery=args.recovery,
-        deadline=args.deadline,
-        shed=args.shed,
-        scheduler=args.scheduler,
-        pool_size=args.pool_size,
-        scheduling_cost=args.scheduling_cost,
-        tenants=tenants,
-        fast_path=not args.no_fast_path,
-    )
+        kwargs["faults"] = _processor_faults(args, args.seed)
+    if args.memory_budget_mb is not None:
+        kwargs["memory_budget_bytes"] = args.memory_budget_mb * 1024 * 1024
+    result = run_workload("paper" if args.paper_mix else args.shape, **kwargs)
     jsonl_path = args.jsonl
     if jsonl_path is None:
         jsonl_path = _results_path(
@@ -281,113 +312,55 @@ def _cmd_workload(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    import json
-
     from .api import _open_pairs, _resolve_mix, run_cluster
-    from .cluster import Trace
+    from .cluster import Trace, shard_seed
     from .workload import make_tenants
 
-    tenants = None
-    if args.tenants is not None:
-        tenants = json.loads(pathlib.Path(args.tenants).read_text())
-    shape = args.shape if not args.paper_mix else "paper"
-    faults = None
+    kwargs = _serving_kwargs(args, "cluster")
+    shape = "paper" if args.paper_mix else args.shape
     if args.crash_rate > 0:
-        from .cluster import shard_seed
-        from .faults import FaultSchedule
-
         # Engine-level (processor) faults, one independent seeded
         # schedule per shard — shards fail on their own timelines.
-        faults = [
-            FaultSchedule.generate(
-                machine_size=args.machine_size,
-                horizon=args.duration,
-                seed=shard_seed(args.seed, shard),
-                crash_rate=args.crash_rate,
-                repair_time=args.repair_time,
-            )
+        kwargs["faults"] = [
+            _processor_faults(args, shard_seed(args.seed, shard))
             for shard in range(args.shards)
         ]
-    shard_faults = None
     if args.shard_crash_rate > 0:
         from .faults import FaultSchedule
 
         # Cluster-level faults: crash events name whole shards.
-        shard_faults = FaultSchedule.generate(
+        kwargs["shard_faults"] = FaultSchedule.generate(
             machine_size=args.shards,
             horizon=args.duration,
             seed=args.seed,
             crash_rate=args.shard_crash_rate,
             repair_time=args.shard_repair_time,
         )
-    options = dict(
-        shards=args.shards,
-        placement=args.placement,
-        autoscale=args.autoscale,
-        scale_max=args.scale_max,
-        scale_min=args.scale_min,
-        scale_cooldown=args.scale_cooldown,
-        workers=args.workers,
-        seed=args.seed,
-        machine_size=args.machine_size,
-        policy=args.policy,
-        share=args.share,
-        strategy=args.strategy,
-        cardinality=args.cardinality,
-        relations=args.relations,
-        queue_limit=args.queue_limit,
-        skew_theta=args.skew,
-        deadline=args.deadline,
-        shed=args.shed,
-        scheduler=args.scheduler,
-        tenants=tenants,
-        fast_path=not args.no_fast_path,
-        faults=faults,
-        recovery=args.recovery,
-        shard_faults=shard_faults,
-        retry_budget=args.retry_budget,
+    kwargs.update(
         hedge=args.hedge,
         breaker=True if args.breaker else None,
         throttle=True if args.throttle else None,
         failover=False if args.no_failover else None,
     )
     if args.trace is not None:
-        trace = Trace.read(args.trace)
-        result = run_cluster(shape, trace=trace, **options)
-    elif args.arrivals == "closed":
-        result = run_cluster(
-            shape,
-            arrivals="closed",
-            clients=args.clients,
-            think_time=args.think,
-            queries_per_client=args.queries_per_client,
-            duration=args.duration,
-            **options,
+        # A trace is the open-loop stream, whatever --arrivals says.
+        kwargs.update(trace=Trace.read(args.trace), arrivals="poisson")
+    elif args.record is not None and args.arrivals != "closed":
+        # Freeze the exact stream this run will serve, then replay
+        # it — the recorded trace reproduces this run bit for bit.
+        mix = _resolve_mix(
+            shape, args.strategy, args.cardinality, args.relations
         )
-    else:
-        if args.record is not None:
-            # Freeze the exact stream this run will serve, then replay
-            # it — the recorded trace reproduces this run bit for bit.
-            mix = _resolve_mix(
-                shape, args.strategy, args.cardinality, args.relations
-            )
-            pairs = _open_pairs(
-                mix, make_tenants(tenants), args.arrivals, args.rate,
-                args.duration, args.seed,
-            )
-            trace = Trace.from_arrivals(pairs, seed=args.seed)
-            trace.write(args.record)
-            if not args.quiet:
-                print(f"trace: {args.record} ({len(trace)} queries)")
-            result = run_cluster(shape, trace=trace, **options)
-        else:
-            result = run_cluster(
-                shape,
-                arrivals=args.arrivals,
-                rate=args.rate,
-                duration=args.duration,
-                **options,
-            )
+        pairs = _open_pairs(
+            mix, make_tenants(kwargs.get("tenants")), args.arrivals,
+            args.rate, args.duration, args.seed,
+        )
+        trace = Trace.from_arrivals(pairs, seed=args.seed)
+        trace.write(args.record)
+        if not args.quiet:
+            print(f"trace: {args.record} ({len(trace)} queries)")
+        kwargs["trace"] = trace
+    result = run_cluster(shape, **kwargs)
     jsonl_path = args.jsonl
     if jsonl_path is None:
         jsonl_path = _results_path(
@@ -457,18 +430,8 @@ def _cmd_faults(args) -> int:
     points = fault_rate_sweep(
         strategies=strategies,
         crash_rates=rates,
-        recovery=args.recovery,
-        duration=args.duration,
-        rate=args.rate,
-        machine_size=args.machine_size,
-        seed=args.seed,
         repair_time=args.repair_time,
-        cardinality=args.cardinality,
-        relations=args.relations,
-        policy=args.policy,
-        share=args.share,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
+        **_knobs(args, "faults"),
     )
     if not args.quiet:
         print(
@@ -652,184 +615,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "workload", help="serve a multi-query workload on one shared machine"
     )
-    p.add_argument("--shape", choices=SHAPE_NAMES, default="wide_bushy",
-                   help="query tree shape (Figure 8)")
-    p.add_argument("--paper-mix", action="store_true",
-                   help="draw from all five shapes instead of --shape")
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--cardinality", type=int, default=5000)
-    p.add_argument("--strategy",
-                   choices=["SP", "SE", "RD", "FP", "auto"], default="FP",
-                   help="execution strategy ('auto': Section 5 guideline)")
-    p.add_argument("--arrivals", choices=["poisson", "fixed", "closed"],
-                   default="poisson",
-                   help="open-loop arrival process, or a closed loop")
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="open-loop arrival rate (queries/second)")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="simulated arrival horizon in seconds")
-    p.add_argument("--clients", type=int, default=4,
-                   help="closed-loop client population")
-    p.add_argument("--think", type=float, default=0.0,
-                   help="closed-loop think time between queries")
-    p.add_argument("--queries-per-client", type=int, default=None,
-                   help="closed-loop per-client query budget")
-    p.add_argument("--machine-size", type=int, default=40,
-                   help="processors in the shared pool")
-    p.add_argument("--policy",
-                   choices=["exclusive", "round_robin", "guideline"],
-                   default="exclusive", help="processor allocation policy")
-    p.add_argument("--share", type=int, default=None,
-                   help="processors per query (policy-specific default)")
-    p.add_argument("--max-concurrent", type=int, default=None,
-                   help="admission gate: concurrent query bound")
-    p.add_argument("--queue-limit", type=int, default=None,
-                   help="admission queue bound (extra arrivals rejected)")
+    _add_serving(p, "workload")
     p.add_argument("--memory-budget-mb", type=float, default=None,
                    help="admission gate: analytic memory budget (MB)")
-    p.add_argument("--skew", type=float, default=0.0,
-                   help="Zipf partitioning skew for every query")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix sampling and think loops")
-    p.add_argument("--crash-rate", type=float, default=0.0,
-                   help="seeded processor crash rate (crashes/second "
-                        "machine-wide; 0 = fault-free)")
-    p.add_argument("--repair-time", type=float, default=60.0,
-                   help="seconds until a crashed processor rejoins")
-    p.add_argument("--recovery",
-                   choices=["fail", "restart", "reassign"], default="fail",
-                   help="what happens to a crashed query")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-query deadline in simulated seconds from "
-                        "arrival (queued queries expire, running ones "
-                        "abort at the deadline)")
-    p.add_argument("--shed",
-                   choices=["drop_newest", "drop_oldest", "deadline_aware"],
-                   default=None,
-                   help="load-shedding policy at admission")
-    p.add_argument("--scheduler",
-                   choices=["fifo", "edf", "sjf", "priority", "wfq"],
-                   default=None,
-                   help="queue-ordering policy (default: the legacy "
-                        "FIFO deque; 'fifo' is its byte-identical alias)")
-    p.add_argument("--pool-size", type=int, default=None,
-                   help="scheduler visibility pool: examine only the "
-                        "first K queued queries per decision")
-    p.add_argument("--scheduling-cost", type=float, default=0.0,
-                   help="simulated seconds charged per admission decision")
-    p.add_argument("--tenants", default=None, metavar="SPEC_JSON",
-                   help="path to a tenant spec file: "
-                        '{"tenants": [{"name": ..., "weight": ..., '
-                        '"rate": ...}, ...]}')
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="force every query onto the classic event loop "
-                        "(results are bit-identical either way)")
     p.add_argument("--jsonl", "--out", dest="jsonl", default=None,
                    help="per-query JSONL path (default: benchmarks/results/"
                         "workload_<shape>_<arrivals>.jsonl)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the summary line")
     p.set_defaults(fn=_cmd_workload)
 
     p = sub.add_parser(
         "cluster",
         help="serve traffic on a shared-nothing cluster of workload shards",
     )
-    p.add_argument("--shape", choices=SHAPE_NAMES, default="wide_bushy",
-                   help="query tree shape (Figure 8)")
-    p.add_argument("--paper-mix", action="store_true",
-                   help="draw from all five shapes instead of --shape")
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--cardinality", type=int, default=5000)
-    p.add_argument("--strategy",
-                   choices=["SP", "SE", "RD", "FP", "auto"], default="FP",
-                   help="execution strategy ('auto': Section 5 guideline)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="independent workload-engine shards")
-    p.add_argument("--placement",
-                   choices=["hash", "least_loaded", "round_robin"],
-                   default="hash",
-                   help="tenant→shard routing policy")
-    p.add_argument("--autoscale",
-                   choices=["static", "reactive", "predictive"],
-                   default="static",
-                   help="per-shard elasticity policy")
-    p.add_argument("--scale-max", type=int, default=None,
-                   help="elastic capacity ceiling per shard "
-                        "(default: 2x --machine-size)")
-    p.add_argument("--scale-min", type=int, default=None,
-                   help="elastic capacity floor per shard "
-                        "(default: --machine-size)")
-    p.add_argument("--scale-cooldown", type=float, default=None,
-                   help="simulated seconds between scale events")
-    p.add_argument("--workers", type=int, default=None,
-                   help="run shards on a process pool (byte-identical "
-                        "to the serial run)")
+    _add_serving(p, "cluster")
     p.add_argument("--trace", default=None, metavar="TRACE_JSON",
                    help="replay this recorded trace instead of "
                         "generating traffic")
     p.add_argument("--record", default=None, metavar="TRACE_JSON",
                    help="record the generated open-loop stream to this "
                         "trace file, then serve it")
-    p.add_argument("--arrivals", choices=["poisson", "fixed", "closed"],
-                   default="poisson",
-                   help="open-loop arrival process, or a closed loop")
-    p.add_argument("--rate", type=float, default=1.0,
-                   help="open-loop arrival rate (queries/second, "
-                        "cluster-wide)")
-    p.add_argument("--duration", type=float, default=60.0,
-                   help="simulated arrival horizon in seconds")
-    p.add_argument("--clients", type=int, default=4,
-                   help="closed-loop client population (split round-robin "
-                        "across shards)")
-    p.add_argument("--think", type=float, default=0.0,
-                   help="closed-loop think time between queries")
-    p.add_argument("--queries-per-client", type=int, default=None,
-                   help="closed-loop per-client query budget")
-    p.add_argument("--machine-size", type=int, default=40,
-                   help="processors per shard")
-    p.add_argument("--policy",
-                   choices=["exclusive", "round_robin", "guideline"],
-                   default="exclusive", help="processor allocation policy")
-    p.add_argument("--share", type=int, default=None,
-                   help="processors per query (policy-specific default)")
-    p.add_argument("--queue-limit", type=int, default=None,
-                   help="per-shard admission queue bound")
-    p.add_argument("--skew", type=float, default=0.0,
-                   help="Zipf partitioning skew for every query")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix sampling and deadlines")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="per-query deadline in simulated seconds")
-    p.add_argument("--shed",
-                   choices=["drop_newest", "drop_oldest", "deadline_aware"],
-                   default=None,
-                   help="load-shedding policy at admission")
-    p.add_argument("--scheduler",
-                   choices=["fifo", "edf", "sjf", "priority", "wfq"],
-                   default=None,
-                   help="per-shard queue-ordering policy")
-    p.add_argument("--tenants", default=None, metavar="SPEC_JSON",
-                   help="path to a tenant spec file")
-    p.add_argument("--no-fast-path", action="store_true",
-                   help="force every query onto the classic event loop")
-    p.add_argument("--crash-rate", type=float, default=0.0,
-                   help="per-shard processor crash rate (crashes/second; "
-                        "each shard draws its own seeded schedule)")
-    p.add_argument("--repair-time", type=float, default=60.0,
-                   help="seconds until a crashed processor rejoins")
-    p.add_argument("--recovery",
-                   choices=["fail", "restart", "reassign"], default="fail",
-                   help="per-shard recovery policy for crashed queries")
     p.add_argument("--shard-crash-rate", type=float, default=0.0,
                    help="whole-shard crash rate (crashes/second across "
                         "the cluster; switches to the coordinated "
                         "resilient mode)")
     p.add_argument("--shard-repair-time", type=float, default=30.0,
                    help="seconds until a crashed shard rejoins the ring")
-    p.add_argument("--retry-budget", type=int, default=None,
-                   help="cluster-level re-dispatches per aborted query "
-                        "(resilient mode; exponential backoff)")
     p.add_argument("--hedge", type=float, default=None, metavar="PCT",
                    help="hedge requests whose forecast exceeds this "
                         "percentile of recent latencies (resilient mode)")
@@ -844,8 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jsonl", "--out", dest="jsonl", default=None,
                    help="per-query JSONL path (default: benchmarks/results/"
                         "cluster_<shards>x_<placement>_<autoscale>.jsonl)")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the summary line")
     p.set_defaults(fn=_cmd_cluster)
 
     p = sub.add_parser(
@@ -895,30 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated strategies to compare")
     p.add_argument("--crash-rates", default="0,0.002,0.01",
                    help="comma-separated crash rates (crashes/second)")
-    p.add_argument("--recovery",
-                   choices=["fail", "restart", "reassign"],
-                   default="restart", help="recovery policy for every cell")
-    p.add_argument("--rate", type=float, default=0.05,
-                   help="open-loop arrival rate (queries/second)")
-    p.add_argument("--duration", type=float, default=300.0,
-                   help="simulated arrival horizon in seconds")
-    p.add_argument("--machine-size", type=int, default=40,
-                   help="processors in the shared pool")
-    p.add_argument("--policy",
-                   choices=["exclusive", "round_robin", "guideline"],
-                   default="exclusive", help="processor allocation policy")
-    p.add_argument("--share", type=int, default=None,
-                   help="processors per query (policy-specific default)")
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--cardinality", type=int, default=5000)
+    _add_knobs(p, "faults")
+    # A fault sweep needs recovery on and a long, light run to see it.
+    p.set_defaults(recovery="restart", rate=0.05, duration=300.0)
     p.add_argument("--repair-time", type=float, default=60.0,
                    help="seconds until a crashed processor rejoins")
-    p.add_argument("--max-retries", type=int, default=3,
-                   help="extra attempts before a crashed query fails")
-    p.add_argument("--retry-backoff", type=float, default=1.0,
-                   help="base of the exponential restart backoff")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for arrivals, mix and fault generation")
     p.add_argument("--jsonl", "--out", dest="jsonl", default=None,
                    help="per-cell JSONL path (default: benchmarks/results/"
                         "faults_<recovery>.jsonl)")

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults import FaultSchedule
+from ..options import engine_options
 from ..sim.machine import MachineConfig
 from ..sim.watchdog import WatchdogError
 from ..workload.mix import QueryMix
@@ -73,35 +74,18 @@ def campaign_engine_options(
     config: Optional[MachineConfig] = None,
     **overrides,
 ) -> Dict:
-    """A complete per-shard engine-options dict (every key
-    :func:`repro.cluster.router._build_engine` indexes), with the
-    campaign defaults; ``overrides`` patch individual keys."""
-    options = dict(
+    """A complete per-shard engine-options dict at the campaign's
+    values (the table's defaults otherwise); ``overrides`` patch
+    individual keys, unknown ones are rejected."""
+    values = dict(
         machine_size=machine_size,
         policy="guideline",
-        share=None,
         config=config if config is not None else campaign_machine_config(),
-        cost_model=None,
-        skew_theta=0.0,
-        max_concurrent=None,
-        queue_limit=None,
-        memory_budget_bytes=None,
         rejected_retry_delay=0.25,
-        deadline=None,
-        deadline_seed=0,
-        shed=None,
         watchdog_limit=200_000,
-        scheduler=None,
-        pool_size=None,
-        scheduling_cost=0.0,
-        tenants=None,
-        fast_path=True,
     )
-    unknown = sorted(set(overrides) - set(options))
-    if unknown:
-        raise ValueError(f"unknown engine option keys {unknown}")
-    options.update(overrides)
-    return options
+    values.update(overrides)
+    return engine_options(**values)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..workload.engine import WorkloadEngine
 from ..workload.metrics import percentile
 from ..workload.mix import QuerySpec
-from ..workload.policies import make_policy
 from .autoscale import DEFAULT_COOLDOWN, ElasticEngine, make_autoscaler
 from .placement import make_placement
 
@@ -258,45 +257,18 @@ class ClusterResult:
 def _build_engine(
     payload: Dict, *, clock=None, on_query_done=None
 ) -> WorkloadEngine:
-    options = payload["engine"]
-    policy = make_policy(options["policy"], options["share"])
-    common = dict(
-        config=options["config"],
-        cost_model=options["cost_model"],
-        skew_theta=options["skew_theta"],
-        max_concurrent=options["max_concurrent"],
-        queue_limit=options["queue_limit"],
-        memory_budget_bytes=options["memory_budget_bytes"],
-        rejected_retry_delay=options["rejected_retry_delay"],
-        deadline=options["deadline"],
-        deadline_seed=options["deadline_seed"],
-        shed=options["shed"],
-        watchdog_limit=options["watchdog_limit"],
-        scheduler=options["scheduler"],
-        pool_size=options["pool_size"],
-        scheduling_cost=options["scheduling_cost"],
-        tenants=options["tenants"],
-        fast_path=options["fast_path"],
-        # Engine-level fault schedule + recovery policy, per shard
-        # (absent from pre-resilience payloads; .get keeps them valid).
-        faults=options.get("faults"),
-        recovery=options.get("recovery", "fail"),
-        max_retries=options.get("max_retries", 3),
-        retry_backoff=options.get("retry_backoff", 1.0),
-        clock=clock,
-        on_query_done=on_query_done,
-    )
-    autoscale = payload["autoscale"]
-    if autoscale is None:
-        return WorkloadEngine(options["machine_size"], policy, **common)
-    return ElasticEngine(
-        options["machine_size"],
-        policy,
-        autoscaler=make_autoscaler(autoscale["policy"]),
-        scale_max=autoscale["scale_max"],
-        scale_min=autoscale["scale_min"],
-        scale_cooldown=autoscale["scale_cooldown"],
-        **common,
+    """One shard's engine from its payload: ``payload["engine"]`` is a
+    complete engine-options dict (:func:`repro.options.engine_options`),
+    ``payload["autoscale"]`` the elasticity block or ``None``."""
+    extra = {"clock": clock, "on_query_done": on_query_done}
+    if payload["autoscale"] is None:
+        return WorkloadEngine.from_options(payload["engine"], **extra)
+    scaling = dict(payload["autoscale"])
+    return ElasticEngine.from_options(
+        payload["engine"],
+        autoscaler=make_autoscaler(scaling.pop("policy")),
+        **scaling,
+        **extra,
     )
 
 

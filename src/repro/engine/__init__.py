@@ -1,65 +1,29 @@
 """Execution engines: real local execution and machine simulation.
 
-The four historical front-ends — :func:`simulate_strategy`,
-:func:`execute_schedule`, :func:`execute_threaded` and
-:func:`ideal_simulation` — went through a deprecation cycle and are
-now *removed aliases* (the v1 API freeze): calling them raises with a
-pointer at the unified facade :func:`repro.api.run`, which dispatches
-between the same engines through one frozen signature.  The
-undecorated implementations remain importable from their submodules
-(e.g. :func:`repro.engine.simulate.simulate_strategy`) for callers
-that genuinely need an engine rather than the facade.
+The unified facade :func:`repro.api.run` dispatches between the
+engines through one frozen signature.  The four historical front-ends
+are no longer exported from this package; they remain importable from
+their submodules (:func:`repro.engine.simulate.simulate_strategy`,
+:func:`repro.engine.local.execute_schedule`,
+:func:`repro.engine.threaded.execute_threaded`,
+:func:`repro.engine.ideal.ideal_simulation`) for callers that
+genuinely need an engine rather than the facade.
 """
-
-import functools
 
 from ..sim.machine import MachineConfig
 from ..sim.metrics import SimulationResult
 from .ideal import ideal_diagram, label_map_for
-from .ideal import ideal_simulation as _ideal_simulation
 from .local import (
     ExecutionResult,
     TaskExecution,
     reference_result,
 )
-from .local import execute_schedule as _execute_schedule
 from .natural import execute_natural_schedule, natural_reference
 from .simulate import simulate_schedule
-from .simulate import simulate_strategy as _simulate_strategy
 from .threaded import ThreadedExecutor
-from .threaded import execute_threaded as _execute_threaded
 from .trace import critical_path, spans_of, task_marks, to_json
 from .utilization import busy_fractions, utilization_diagram
 
-
-def _removed_front_end(func):
-    """Alias a legacy front-end that now refuses to run.
-
-    The v1 freeze graduated the :class:`DeprecationWarning` these
-    aliases emitted for one release into a hard error; the message
-    names both the facade call to migrate to and the submodule import
-    that still reaches the raw engine.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        raise RuntimeError(
-            f"repro.engine.{func.__name__} was removed in the v1 API; "
-            f"call repro.api.run(..., backend=...) instead, or import "
-            f"the engine directly from {func.__module__}"
-        )
-
-    wrapper.__doc__ = (
-        f"Removed alias of :func:`{func.__module__}.{func.__name__}`; "
-        f"use :func:`repro.api.run`.\n\n{func.__doc__ or ''}"
-    )
-    return wrapper
-
-
-simulate_strategy = _removed_front_end(_simulate_strategy)
-execute_schedule = _removed_front_end(_execute_schedule)
-execute_threaded = _removed_front_end(_execute_threaded)
-ideal_simulation = _removed_front_end(_ideal_simulation)
 
 __all__ = [
     "ExecutionResult",
@@ -73,14 +37,10 @@ __all__ = [
     "to_json",
     "ThreadedExecutor",
     "execute_natural_schedule",
-    "execute_schedule",
-    "execute_threaded",
     "natural_reference",
     "ideal_diagram",
-    "ideal_simulation",
     "label_map_for",
     "reference_result",
     "simulate_schedule",
-    "simulate_strategy",
     "utilization_diagram",
 ]

@@ -114,6 +114,15 @@ def run_job(job: Job) -> Tuple[Dict, Dict]:
     return row, meta
 
 
+def _facade_kwargs(job: Job, traffic: WorkloadTraffic, keywords) -> Dict:
+    """Every knob the cell carries, under the facade keyword of the
+    same name (``job.processors`` is the facade's ``machine_size``);
+    knobs neither the job nor its traffic block has keep the facade
+    default."""
+    carried = {**vars(job), **vars(traffic), "machine_size": job.processors}
+    return {name: carried[name] for name in keywords if name in carried}
+
+
 def _run_workload_job(job: Job, started: float) -> Tuple[Dict, Dict]:
     """Run a scheduler-bearing cell as a whole workload.
 
@@ -124,31 +133,10 @@ def _run_workload_job(job: Job, started: float) -> Tuple[Dict, Dict]:
     traffic = job.workload or WorkloadTraffic()
     if traffic.shards > 1:
         return _run_cluster_job(job, traffic, started)
-    from ..api import run_workload
+    from ..api import RUN_WORKLOAD_KEYWORDS, run_workload
 
     result = run_workload(
-        job.shape,
-        arrivals=traffic.arrivals,
-        rate=traffic.rate,
-        duration=traffic.duration,
-        seed=traffic.seed,
-        machine_size=job.processors,
-        policy=traffic.policy,
-        share=traffic.share,
-        strategy=job.strategy,
-        cardinality=job.cardinality,
-        relations=job.relations,
-        queue_limit=traffic.queue_limit,
-        shed=traffic.shed,
-        config=job.config,
-        cost_model=job.cost_model,
-        skew_theta=job.skew_theta,
-        faults=job.faults,
-        deadline=job.deadline,
-        scheduler=job.scheduler,
-        pool_size=traffic.pool_size,
-        scheduling_cost=traffic.scheduling_cost,
-        fast_path=traffic.fast_path,
+        job.shape, **_facade_kwargs(job, traffic, RUN_WORKLOAD_KEYWORDS)
     )
     latency = result.latency_stats()
     row = {
@@ -181,34 +169,10 @@ def _run_cluster_job(
     its shards serially — the sweep's own process pool is the
     parallelism budget; nesting pools would oversubscribe it.
     """
-    from ..api import run_cluster
+    from ..api import RUN_CLUSTER_KEYWORDS, run_cluster
 
     result = run_cluster(
-        job.shape,
-        shards=traffic.shards,
-        placement=traffic.placement,
-        autoscale=traffic.autoscale,
-        scale_max=traffic.scale_max,
-        arrivals=traffic.arrivals,
-        rate=traffic.rate,
-        duration=traffic.duration,
-        seed=traffic.seed,
-        machine_size=job.processors,
-        policy=traffic.policy,
-        share=traffic.share,
-        strategy=job.strategy,
-        cardinality=job.cardinality,
-        relations=job.relations,
-        queue_limit=traffic.queue_limit,
-        shed=traffic.shed,
-        config=job.config,
-        cost_model=job.cost_model,
-        skew_theta=job.skew_theta,
-        deadline=job.deadline,
-        scheduler=job.scheduler,
-        pool_size=traffic.pool_size,
-        scheduling_cost=traffic.scheduling_cost,
-        fast_path=traffic.fast_path,
+        job.shape, **_facade_kwargs(job, traffic, RUN_CLUSTER_KEYWORDS)
     )
     latency = result.latency_stats()
     row = {

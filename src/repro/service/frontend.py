@@ -18,50 +18,30 @@ import json
 from typing import Dict, IO, Optional
 
 from ..core.shapes import SHAPE_NAMES
+from ..options import OPTIONS, QWC, WC, Option
 
 #: Backends a service request may ask for.
 SERVICE_BACKENDS = ("sim", "ideal")
 
-#: Keys an ``op: "query"`` request may carry.  Every op validates its
-#: request strictly: an unknown key (``"deadine"``) is an error naming
-#: the accepted keys, never a silently ignored typo.
-_QUERY_KEYS = (
-    "shape", "strategy", "processors", "backend", "cardinality",
-    "skew_theta", "deadline",
+#: Request keys that are the service's own rather than facade knobs.
+_SERVICE_OPTIONS = (
+    Option("shape", SHAPE_NAMES, "wide_bushy", "query tree shape", ops=QWC),
+    Option("rows", bool, False, "also return the per-query rows", ops=WC),
+    Option("processors", int, 40, "machine size", ops=("query",)),
+    Option("backend", SERVICE_BACKENDS, "sim", "simulating backend", ops=("query",)),
 )
 
-#: Keys an ``op: "workload"`` request may pass through to
-#: :func:`repro.api.run_workload`.
-_WORKLOAD_KEYS = (
-    "arrivals", "rate", "duration", "seed", "machine_size", "policy",
-    "share", "strategy", "cardinality", "relations", "clients",
-    "think_time", "queries_per_client", "max_concurrent", "queue_limit",
-    "memory_budget_bytes", "skew_theta", "faults", "recovery",
-    "max_retries", "retry_backoff", "deadline", "shed", "cancellations",
-    "scheduler", "pool_size", "scheduling_cost", "tenants", "fast_path",
-)
-
-#: Keys an ``op: "cluster"`` request may pass through to
-#: :func:`repro.api.run_cluster`.  ``faults``/``recovery`` inject
-#: per-shard engine-level fault schedules; ``shard_faults`` through
-#: ``failover`` are the resilience surface (passing any of them runs
-#: the coordinated single-clock cluster).
-_CLUSTER_KEYS = (
-    "trace", "shards", "placement", "autoscale", "scale_max",
-    "scale_min", "scale_cooldown", "workers",
-    "arrivals", "rate", "duration", "seed", "machine_size", "policy",
-    "share", "strategy", "cardinality", "relations", "clients",
-    "think_time", "queries_per_client", "max_concurrent", "queue_limit",
-    "memory_budget_bytes", "skew_theta", "deadline", "shed",
-    "scheduler", "pool_size", "scheduling_cost", "tenants", "fast_path",
-    "faults", "recovery", "max_retries", "retry_backoff",
-    "shard_faults", "retry_budget", "hedge", "breaker", "throttle",
-    "failover",
-)
-
-#: Keys a stats request may carry (``{"stats": true}`` or
-#: ``{"op": "stats"}``).
-_STATS_KEYS = ("stats",)
+#: Per op, the keys a request may carry and the table row giving each
+#: key's type — computed once: the check runs on every request.  Every
+#: op validates strictly: an unknown key (``"deadine"``) is an error
+#: naming the accepted keys, a wrong-typed value an error naming the
+#: expected type, never a silently ignored typo or a crash downstream.
+#: (``stats`` is read for truthiness only, so it carries no type.)
+_ROWS: Dict[str, Dict[str, Optional[Option]]] = {
+    op: {row.name: row for row in OPTIONS + _SERVICE_OPTIONS if op in row.ops}
+    for op in QWC
+}
+_ROWS["stats"] = {"stats": None}
 
 
 class QueryService:
@@ -84,39 +64,43 @@ class QueryService:
         op = request.get("op")
         if op is None and request.get("stats"):
             op = "stats"
+        rows = _ROWS.get(op) if isinstance(op, str) else None
+        if rows is None:
+            return self._error(
+                f"unknown op {op!r}; expected 'query', 'workload', "
+                f"'cluster', or 'stats'"
+            )
+        unknown = sorted(key for key in request if key not in rows and key != "op")
+        if unknown:
+            return self._error(
+                f"unknown {op} parameters {unknown}; "
+                f"accepted keys: {sorted(rows)}"
+            )
+        for key, value in request.items():
+            row = rows.get(key)
+            if row is not None and not row.accepts(value):
+                return self._error(
+                    f"bad value for {key!r}: expected {row.expected()}, "
+                    f"got {value!r}"
+                )
         try:
-            if op == "query":
-                return self._count(op, self._query(request))
-            if op == "workload":
-                return self._count(op, self._workload(request))
-            if op == "cluster":
-                return self._count(op, self._cluster(request))
             if op == "stats":
-                return self._stats(request)
+                return self._stats()
+            return self._count(op, getattr(self, f"_{op}")(request))
         except (ValueError, TypeError, KeyError) as exc:
             return self._error(str(exc))
-        return self._error(
-            f"unknown op {op!r}; expected 'query', 'workload', "
-            f"'cluster', or 'stats'"
-        )
 
     def _count(self, op: str, response: Dict) -> Dict:
         if response.get("ok"):
             self._served[op] = self._served.get(op, 0) + 1
         return response
 
-    # -- the two operations -----------------------------------------------
+    # -- the operations (handle() dispatches to ``_<op>``) ------------------
 
     def _query(self, request: Dict) -> Dict:
-        from ..api import DEFAULT_CARDINALITY, run
+        from ..api import run
         from ..sim.run import QueryAbortedError
 
-        unknown = self._unknown_keys(request, _QUERY_KEYS)
-        if unknown:
-            return self._error(
-                f"unknown query parameters {unknown}; "
-                f"accepted keys: {sorted(_QUERY_KEYS)}"
-            )
         shape = request.get("shape", "wide_bushy")
         if shape not in SHAPE_NAMES:
             return self._error(
@@ -127,16 +111,12 @@ class QueryService:
             return self._error(
                 f"service backends are {SERVICE_BACKENDS}; got {backend!r}"
             )
+        options = {
+            key: value for key, value in request.items()
+            if key not in ("op", "shape", "backend")
+        }
         try:
-            result = run(
-                shape,
-                request.get("strategy", "FP"),
-                request.get("processors", 40),
-                backend,
-                cardinality=request.get("cardinality", DEFAULT_CARDINALITY),
-                skew_theta=request.get("skew_theta", 0.0),
-                deadline=request.get("deadline"),
-            )
+            result = run(shape, backend=backend, **options)
         except QueryAbortedError as exc:
             # The deadline fired: a well-formed request with a definite
             # (deterministic) outcome, not a service error.
@@ -166,42 +146,7 @@ class QueryService:
     def _workload(self, request: Dict) -> Dict:
         from ..api import run_workload
 
-        unknown = self._unknown_keys(
-            request, _WORKLOAD_KEYS + ("shape", "rows")
-        )
-        if unknown:
-            return self._error(
-                f"unknown workload parameters {unknown}; accepted keys: "
-                f"{sorted(_WORKLOAD_KEYS + ('shape', 'rows'))}"
-            )
-        options = {
-            key: request[key] for key in _WORKLOAD_KEYS if key in request
-        }
-        if "deadline" in options and isinstance(options["deadline"], list):
-            # JSON has no tuples; a two-element list is the (lo, hi)
-            # deadline range form.
-            options["deadline"] = tuple(options["deadline"])
-        if "cancellations" in options:
-            try:
-                options["cancellations"] = [
-                    (float(when), int(index))
-                    for when, index in options["cancellations"]
-                ]
-            except (TypeError, ValueError) as exc:
-                return self._error(
-                    f"bad cancellations (expected [time, query] pairs): {exc}"
-                )
-        if "faults" in options:
-            # Requests are JSON, so fault schedules arrive as the
-            # FaultSchedule.to_payload() dict form.
-            from ..faults import FaultSchedule
-
-            try:
-                options["faults"] = FaultSchedule.from_payload(
-                    options["faults"]
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad fault schedule: {exc}")
+        options = _facade_options("workload", request)
         result = run_workload(request.get("shape", "wide_bushy"), **options)
         response = {
             "ok": True,
@@ -264,47 +209,7 @@ class QueryService:
     def _cluster(self, request: Dict) -> Dict:
         from ..api import run_cluster
 
-        accepted = _CLUSTER_KEYS + ("shape", "rows")
-        unknown = self._unknown_keys(request, accepted)
-        if unknown:
-            return self._error(
-                f"unknown cluster parameters {unknown}; accepted keys: "
-                f"{sorted(accepted)}"
-            )
-        options = {
-            key: request[key] for key in _CLUSTER_KEYS if key in request
-        }
-        if "deadline" in options and isinstance(options["deadline"], list):
-            options["deadline"] = tuple(options["deadline"])
-        if "trace" in options:
-            # Requests are JSON, so traces arrive as the
-            # Trace.to_payload() dict form.
-            from ..cluster import Trace
-
-            try:
-                options["trace"] = Trace.from_payload(options["trace"])
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad trace: {exc}")
-        if "shard_faults" in options:
-            from ..faults import FaultSchedule
-
-            try:
-                options["shard_faults"] = FaultSchedule.from_payload(
-                    options["shard_faults"]
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad fault schedule: {exc}")
-        if "faults" in options:
-            # Engine-level faults: one schedule for every shard, a
-            # per-shard list (null = fault-free shard), or a
-            # {shard: payload} map — JSON object keys are strings, so
-            # the map form converts them back to shard indices.
-            try:
-                options["faults"] = self._parse_cluster_faults(
-                    options["faults"]
-                )
-            except (TypeError, KeyError, ValueError) as exc:
-                return self._error(f"bad fault schedule: {exc}")
+        options = _facade_options("cluster", request)
         result = run_cluster(request.get("shape", "wide_bushy"), **options)
         response = {
             "ok": True,
@@ -352,13 +257,7 @@ class QueryService:
             self._engine_stats["resilience"] = resilience
         return response
 
-    def _stats(self, request: Dict) -> Dict:
-        unknown = self._unknown_keys(request, _STATS_KEYS)
-        if unknown:
-            return self._error(
-                f"unknown stats parameters {unknown}; accepted keys: "
-                f"{sorted(_STATS_KEYS)}"
-            )
+    def _stats(self) -> Dict:
         return {
             "ok": True,
             "op": "stats",
@@ -367,37 +266,70 @@ class QueryService:
         }
 
     @staticmethod
-    def _parse_cluster_faults(value):
-        from ..faults import FaultSchedule
-
-        if isinstance(value, dict) and "seed" in value:
-            return FaultSchedule.from_payload(value)
-        if isinstance(value, dict):
-            return {
-                int(shard): (
-                    None
-                    if payload is None
-                    else FaultSchedule.from_payload(payload)
-                )
-                for shard, payload in value.items()
-            }
-        if isinstance(value, list):
-            return [
-                None if payload is None else FaultSchedule.from_payload(payload)
-                for payload in value
-            ]
-        raise TypeError(
-            "faults must be a FaultSchedule payload, a per-shard list, "
-            "or a {shard: payload} map"
-        )
-
-    @staticmethod
-    def _unknown_keys(request: Dict, accepted) -> list:
-        return sorted(key for key in request if key not in accepted + ("op",))
-
-    @staticmethod
     def _error(message: str) -> Dict:
         return {"ok": False, "error": message}
+
+
+# -- request values JSON cannot spell ---------------------------------------
+
+
+def _schedule(payload):
+    from ..faults import FaultSchedule
+
+    if not isinstance(payload, dict):
+        raise TypeError("a fault schedule payload is a JSON object")
+    return FaultSchedule.from_payload(payload)
+
+
+def _cluster_faults(value):
+    """Engine-level faults of a cluster: one schedule for every shard,
+    a per-shard list (null = fault-free shard), or a {shard: payload}
+    map — JSON object keys are strings, so the map form converts them
+    back to shard indices."""
+    if isinstance(value, dict) and "seed" in value:
+        return _schedule(value)
+    if isinstance(value, dict):
+        return {
+            int(shard): None if payload is None else _schedule(payload)
+            for shard, payload in value.items()
+        }
+    return [None if payload is None else _schedule(payload) for payload in value]
+
+
+def _trace(payload):
+    from ..cluster import Trace
+
+    return Trace.from_payload(payload)
+
+
+def _cancellations(pairs):
+    return [(float(when), int(index)) for when, index in pairs]
+
+
+def _facade_options(op: str, request: Dict) -> Dict:
+    """The facade keywords of a workload/cluster request: every key but
+    the service's own, with the values JSON cannot spell rebuilt — a
+    two-element deadline list as the (lo, hi) tuple, the
+    ``to_payload()`` dict forms as schedules and traces.  A payload
+    that does not parse raises :class:`ValueError` naming it."""
+    options = {
+        key: value for key, value in request.items()
+        if key not in ("op", "shape", "rows")
+    }
+    if isinstance(options.get("deadline"), list):
+        options["deadline"] = tuple(options["deadline"])
+    for key, what, parse in (
+        ("cancellations", "cancellations (expected [time, query] pairs)", _cancellations),
+        ("trace", "trace", _trace),
+        ("shard_faults", "fault schedule", _schedule),
+        ("faults", "fault schedule", _schedule if op == "workload" else _cluster_faults),
+    ):
+        if options.get(key) is not None:
+            try:
+                options[key] = parse(options[key])
+            except (TypeError, KeyError, ValueError) as exc:
+                raise ValueError(f"bad {what}: {exc}") from None
+    return options
 
 
 def serve(

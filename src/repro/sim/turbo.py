@@ -268,6 +268,11 @@ def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
         or config.tuple_unit <= 0
     ):
         return None
+    # Likewise a free operand (coefficient <= 0): the drain loops below
+    # rely on every chunk taking positive time.
+    cost_model = sim.cost_model
+    if cost_model.base_coeff <= 0 or cost_model.intermediate_coeff <= 0:
+        return None
     start_at = sim.start_at
     for processor in sim.processors.values():
         if processor.stalls:
@@ -522,11 +527,10 @@ def _run_process(
             # chunks reduce to `now += duration` with the busy/interval
             # state written back once — the same float operations in
             # the same order, minus the per-chunk bookkeeping.  The
-            # contiguity argument needs every duration > 0, which the
-            # positive-coefficient gates guarantee; degenerate
-            # coefficients fall back to the literal per-chunk form.
+            # contiguity argument needs every duration > 0, which
+            # _common_eligible guarantees (positive coefficients).
             if simple:
-                if b_pend > EPS and b_coeff > 0.0:
+                if b_pend > EPS:
                     chunk = b_pend if b_pend <= b_cap else b_cap
                     b_pend -= chunk
                     if b_pend < EPS:
@@ -554,29 +558,9 @@ def _run_process(
                         b_done += chunk
                     busy = now
                     cur_e = now
-                else:
-                    while b_pend > EPS:
-                        chunk = b_pend if b_pend <= b_cap else b_cap
-                        b_pend -= chunk
-                        if b_pend < EPS:
-                            b_pend = 0.0
-                        d = (chunk * b_coeff + 0.0 * rc) * tu * ws
-                        s = now if now >= busy else busy
-                        e_t = s + d
-                        busy = e_t
-                        if d > 0.0:
-                            if cur_l == name and -1e-12 < s - cur_e < 1e-12:
-                                cur_e = e_t
-                            else:
-                                if cur_l is not None:
-                                    intervals.append((cur_s, cur_e, cur_l))
-                                cur_s = s
-                                cur_e = e_t
-                                cur_l = name
-                        now = e_t
-                        ncomp += 1
-                        b_done += chunk
-                if p_pend > EPS and p_coeff > 0.0:
+                # The probe takes any positive remainder, like the
+                # chunk hook below (its loop stops at an empty chunk).
+                if p_pend > 0.0:
                     chunk = p_pend if p_pend <= p_cap else p_cap
                     p_pend -= chunk
                     if p_pend < EPS:
@@ -620,38 +604,7 @@ def _run_process(
                             )
                     busy = now
                     cur_e = now
-                else:
-                    while True:
-                        chunk = p_pend if p_pend <= p_cap else p_cap
-                        p_pend -= chunk
-                        if p_pend < EPS:
-                            p_pend = 0.0
-                        if chunk <= 0.0:
-                            break
-                        out = chunk * rl / p_total if out_ok else 0.0
-                        d = (chunk * p_coeff + out * rc) * tu * ws
-                        s = now if now >= busy else busy
-                        e_t = s + d
-                        busy = e_t
-                        if d > 0.0:
-                            if cur_l == name and -1e-12 < s - cur_e < 1e-12:
-                                cur_e = e_t
-                            else:
-                                if cur_l is not None:
-                                    intervals.append((cur_s, cur_e, cur_l))
-                                cur_s = s
-                                cur_e = e_t
-                                cur_l = name
-                        now = e_t
-                        ncomp += 1
-                        p_done += chunk
-                        if out > 0.0:
-                            out_total += out
-                            if pipe_out:
-                                emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
-            elif b_coeff > 0.0 and p_coeff > 0.0:
+            else:
                 if b_pend > EPS:
                     if p_pend > EPS:
                         pb = b_done / b_total if b_total > 0 else 1.0
@@ -738,57 +691,6 @@ def _run_process(
                             )
                     busy = now
                     cur_e = now
-            else:
-                while True:
-                    if b_pend > EPS:
-                        if p_pend > EPS:
-                            pb = b_done / b_total if b_total > 0 else 1.0
-                            pp = p_done / p_total if p_total > 0 else 1.0
-                            on_build = pb <= pp
-                        else:
-                            on_build = True
-                    elif p_pend > EPS:
-                        on_build = False
-                    else:
-                        break
-                    if on_build:
-                        chunk = b_pend if b_pend <= b_cap else b_cap
-                        b_pend -= chunk
-                        if b_pend < EPS:
-                            b_pend = 0.0
-                        out = chunk * p_done * density
-                        d = (chunk * b_coeff + out * rc) * tu * ws
-                    else:
-                        chunk = p_pend if p_pend <= p_cap else p_cap
-                        p_pend -= chunk
-                        if p_pend < EPS:
-                            p_pend = 0.0
-                        out = chunk * b_done * density
-                        d = (chunk * p_coeff + out * rc) * tu * ws
-                    s = now if now >= busy else busy
-                    e_t = s + d
-                    busy = e_t
-                    if d > 0.0:
-                        if cur_l == name and -1e-12 < s - cur_e < 1e-12:
-                            cur_e = e_t
-                        else:
-                            if cur_l is not None:
-                                intervals.append((cur_s, cur_e, cur_l))
-                            cur_s = s
-                            cur_e = e_t
-                            cur_l = name
-                    now = e_t
-                    ncomp += 1
-                    if on_build:
-                        b_done += chunk
-                    else:
-                        p_done += chunk
-                    if out > 0.0:
-                        out_total += out
-                        if pipe_out:
-                            emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
             # Drained: pay a materialized output's send-setup
             # handshakes, then report completion.
             if has_close and close_d > 0.0:

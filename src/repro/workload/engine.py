@@ -57,6 +57,7 @@ from .policies import (
     ExclusivePolicy,
     InfeasibleQueryError,
     MachineView,
+    make_policy,
 )
 from .sched import Scheduler, TenantSpec, make_scheduler, make_tenants
 
@@ -226,7 +227,7 @@ class WorkloadEngine:
         recovery: str = "fail",
         max_retries: int = 3,
         retry_backoff: float = 1.0,
-        rejected_retry_delay: float = REJECTED_RETRY_DELAY,
+        rejected_retry_delay: Optional[float] = None,
         deadline: Union[None, float, Tuple[float, float]] = None,
         deadline_seed: int = 0,
         shed: Union[None, str, ShedPolicy] = None,
@@ -251,6 +252,8 @@ class WorkloadEngine:
             raise ValueError("max_retries must be non-negative")
         if retry_backoff < 0:
             raise ValueError("retry_backoff must be non-negative")
+        if rejected_retry_delay is None:
+            rejected_retry_delay = REJECTED_RETRY_DELAY
         if rejected_retry_delay <= 0:
             raise ValueError(
                 "rejected_retry_delay must be positive (a zero delay "
@@ -363,6 +366,18 @@ class WorkloadEngine:
         self._think_time = 0.0
         self._queries_per_client: Optional[int] = None
         self._horizon: Optional[float] = None
+
+    @classmethod
+    def from_options(cls, options: Dict, **extra) -> "WorkloadEngine":
+        """Build an engine from a per-shard engine-options dict
+        (:func:`repro.options.engine_options`): ``machine_size`` and
+        the ``policy`` name + ``share`` become the positional pair, the
+        rest are this constructor's keywords under their own names.
+        ``extra`` carries what no knob spells (``clock``,
+        ``on_query_done``, a subclass's own keywords)."""
+        options = dict(options)
+        policy = make_policy(options.pop("policy"), options.pop("share"))
+        return cls(options.pop("machine_size"), policy, **options, **extra)
 
     # -- submission -------------------------------------------------------
 

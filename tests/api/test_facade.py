@@ -224,8 +224,9 @@ class TestTimeout:
 
 
 class TestRemovedAliases:
-    """The old repro.engine names are frozen out: importable (so the
-    error can teach the migration) but calling them raises."""
+    """The old repro.engine front-end names are gone (they raised
+    RuntimeError for one release); the facade and the engine
+    submodules are the two ways in."""
 
     @pytest.mark.parametrize(
         "name",
@@ -235,19 +236,21 @@ class TestRemovedAliases:
     def test_every_alias_raises_pointing_at_the_facade(self, name):
         import repro.engine as engine
 
-        with pytest.raises(RuntimeError, match=r"repro\.api\.run"):
-            getattr(engine, name)()
+        assert name not in engine.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(engine, name)
 
     def test_error_names_the_engine_submodule_escape_hatch(self):
-        import repro.engine as engine
+        """The submodule escape hatch the removed aliases pointed at
+        still reaches every raw engine."""
+        import importlib
 
-        with pytest.raises(RuntimeError, match="repro.engine.simulate"):
-            engine.simulate_strategy(
-                make_shape("wide_bushy", NAMES10),
-                Catalog.regular(NAMES10, 2000),
-                "SE",
-                20,
-            )
+        for module, name in (
+            ("simulate", "simulate_strategy"), ("local", "execute_schedule"),
+            ("threaded", "execute_threaded"), ("ideal", "ideal_simulation"),
+        ):
+            engine = importlib.import_module(f"repro.engine.{module}")
+            assert callable(getattr(engine, name))
 
     def test_undecorated_implementations_still_run(self, recwarn):
         simulate_strategy(

@@ -83,14 +83,20 @@ class TestSweep:
 
 
 class TestRunnerCache:
-    def test_sweep_memoized(self, fast_config):
-        from repro.bench import clear_cache, sweep
+    def test_sweep_memoized(self, fast_config, tmp_path, monkeypatch):
+        """The runner's disk cache is the only memo: a repeated sweep
+        runs no job and returns an equal (not the same) result."""
+        from repro.bench import sweep
+        from repro.runner import execute
 
-        clear_cache()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         experiment = Experiment("left_linear", 300, (10,))
         first = sweep(experiment, fast_config)
+
+        def recomputed(job):
+            raise AssertionError(f"cached job ran again: {job.label()}")
+
+        monkeypatch.setattr(execute, "run_job", recomputed)
         second = sweep(experiment, fast_config)
-        assert first is second
-        clear_cache()
-        third = sweep(experiment, fast_config)
-        assert third is not first
+        assert second == first
+        assert second is not first

@@ -445,3 +445,103 @@ class TestStatsOp:
         response = SERVICE.handle({"op": "stats", "verbose": True})
         assert not response["ok"]
         assert "verbose" in response["error"]
+
+
+def _typed_keys():
+    from repro.service.frontend import _ROWS
+
+    return [
+        (op, key) for op in ("query", "workload", "cluster")
+        for key in sorted(_ROWS[op])
+    ]
+
+
+def _wrong_typed(row):
+    """JSON values that are not of ``row``'s declared type, worked out
+    from the declaration alone (not by asking ``row.accepts``)."""
+    kinds = row.kinds
+    junk = [] if row.nullable or row.default is None else [None]
+    if isinstance(kinds[0], str):  # a choice: any non-string is wrong
+        return junk + [7, 2.5, True, [1], {"a": 1}]
+    if bool not in kinds:
+        junk.append(True)  # a bool is not a number in JSON
+    if int not in kinds and float not in kinds:
+        junk.append(7)
+    if float not in kinds:
+        junk.append(2.5)
+    junk.append("5")  # no knob takes a bare string
+    if list not in kinds:
+        junk.append([1])
+    if dict not in kinds:
+        junk.append({"a": 1})
+    return junk
+
+
+class TestHostileValues:
+    """Wrong-typed values are refused at the edge, by key, before
+    anything runs — and never take the stream down."""
+
+    GOOD = json.dumps({"op": "query", "processors": 10, "cardinality": 500})
+
+    def pump(self, *lines):
+        out = io.StringIO()
+        served = serve(io.StringIO("\n".join(lines) + "\n"), out)
+        responses = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert served == len(lines) == len(responses)
+        return responses
+
+    @pytest.mark.parametrize("op,key", _typed_keys())
+    def test_every_key_refuses_every_wrong_type(self, op, key):
+        from repro.service.frontend import _ROWS
+
+        row = _ROWS[op][key]
+        junk = _wrong_typed(row)
+        assert junk
+        *refused, alive = self.pump(
+            *(json.dumps({"op": op, key: value}) for value in junk),
+            self.GOOD,
+        )
+        for value, response in zip(junk, refused):
+            assert response["ok"] is False, (key, value)
+            assert response["error"].startswith(f"bad value for {key!r}")
+            assert row.expected() in response["error"]
+        assert alive["ok"] is True
+
+    @pytest.mark.parametrize(
+        "request_,names",
+        [
+            # The two that used to raise AttributeError through handle().
+            ({"op": "query", "strategy": None}, "'strategy': expected one of"),
+            ({"op": "cluster", "placement": None}, "'placement': expected one of"),
+            # The two that used to run: result_tuples 5.0; "no" read as true.
+            ({"op": "query", "cardinality": "5"}, "'cardinality': expected int"),
+            ({"op": "workload", "fast_path": "no"}, "'fast_path': expected bool"),
+        ],
+    )
+    def test_the_known_offenders(self, request_, names):
+        refused, alive = self.pump(json.dumps(request_), self.GOOD)
+        assert refused["ok"] is False
+        assert names in refused["error"]
+        assert alive["ok"] is True
+
+    def test_an_unhashable_op_is_an_unknown_op(self):
+        refused, alive = self.pump('{"op": ["query"]}', self.GOOD)
+        assert "unknown op ['query']" in refused["error"]
+        assert alive["ok"] is True
+
+    def test_null_means_default_where_the_default_is_null(self):
+        response = SERVICE.handle(dict(
+            TestWorkloadOp.REQUEST, deadline=None, faults=None,
+            cancellations=None, tenants=None, share=None,
+        ))
+        assert response["ok"]
+        assert response == SERVICE.handle(dict(TestWorkloadOp.REQUEST))
+
+    def test_right_typed_but_malformed_payloads_are_still_error_dicts(self):
+        for request_ in (
+            dict(TestWorkloadOp.REQUEST, faults=[]),
+            dict(TestWorkloadOp.REQUEST, deadline=[]),
+            dict(TestClusterOp.REQUEST, faults=[1, 2]),
+            dict(TestClusterOp.REQUEST, trace={}),
+        ):
+            assert SERVICE.handle(request_)["ok"] is False, request_

@@ -17,7 +17,7 @@ point so this file always exercises the cold compute path;
 
 import pytest
 
-from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
+from repro.core import Catalog, CostModel, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig
 from repro.sim.run import ScheduleSimulation
 from repro.sim import turbo
@@ -28,13 +28,14 @@ STRATEGIES = ("SP", "SE", "RD", "FP")
 AXES = ((8, 0.0), (40, 0.7))
 
 
-def build(shape, strategy, processors, skew, cardinality=400, relations=6):
+def build(shape, strategy, processors, skew, cardinality=400, relations=6,
+          cost_model=None):
     names = paper_relation_names(relations)
     tree = make_shape(shape, names)
     catalog = Catalog.regular(names, cardinality)
     schedule = get_strategy(strategy).schedule(tree, catalog, processors)
     return ScheduleSimulation(
-        schedule, catalog, MachineConfig.paper(), None, skew
+        schedule, catalog, MachineConfig.paper(), cost_model, skew
     )
 
 
@@ -71,6 +72,25 @@ def test_grid_point_identical(shape, strategy, processors, skew):
     assert_identical(
         classic(shape, strategy, processors, skew),
         fast(shape, strategy, processors, skew),
+    )
+
+
+@pytest.mark.parametrize("strategy", ("SP", "FP"))
+def test_free_operand_stands_down_to_the_classic_loop(strategy):
+    """A zero operand coefficient makes chunks free, which the drain
+    loops do not model: turbo declines the run untouched, and the
+    facade path (``run()`` tries turbo first) lands on the classic
+    loop's result."""
+    free = CostModel(base_coeff=0.0)
+    turbo.clear_cache()
+    declined = build("wide_bushy", strategy, 8, 0.0, cost_model=free)
+    assert not turbo.execute(declined)
+    assert declined.clock.events_dispatched == 0
+    via_facade = build("wide_bushy", strategy, 8, 0.0, cost_model=free)
+    via_facade.run()
+    assert_identical(
+        classic("wide_bushy", strategy, 8, 0.0, cost_model=free),
+        via_facade.result(),
     )
 
 

@@ -42,8 +42,7 @@ def test_all_names_resolve(module_name):
 
 
 def test_engine_all_names_resolve():
-    """repro.engine exports (including the removed aliases, which stay
-    importable so the error can teach the migration)."""
+    """repro.engine exports resolve."""
     import repro.engine as engine
 
     for name in engine.__all__:
@@ -144,7 +143,7 @@ def test_top_level_lazy_exports():
     import repro
 
     for name in ("run", "sweep", "MachineConfig", "SimulationResult",
-                 "simulate_schedule", "execute_schedule", "XRAPlan",
+                 "simulate_schedule", "XRAPlan",
                  "compile_schedule", "advise_strategy",
                  "two_phase_optimize"):
         assert getattr(repro, name) is not None
