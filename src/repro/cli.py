@@ -455,11 +455,16 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    """A small self-contained hot-path bench: every strategy through
-    the simulator plus a repeat-heavy hosted workload, optionally under
-    ``cProfile`` so perf work starts from measured hot spots instead of
-    guesses (the committed numbers live in ``benchmarks/bench_perf.py``;
-    this command is for finding where the time goes)."""
+    """A small self-contained bench of the three paths a simulated
+    query can take: every strategy solo through the simulator (the
+    analytic path, cold then replayed), a one-client closed loop
+    (single occupancy, so the hosted fast path), and an overlapped
+    open loop (several queries in flight, so the classic event loop
+    with its watchdog armed — the path that serves traffic).
+    Optionally under ``cProfile`` so perf work starts from measured hot
+    spots instead of guesses (the committed numbers live in
+    ``benchmarks/bench_perf.py`` and ``benchmarks/ladder``; this
+    command is for finding where the time goes)."""
     import time
 
     from .api import run, run_workload
@@ -468,7 +473,7 @@ def _cmd_perf(args) -> int:
     repeats = 1 if args.smoke else args.repeats
     queries = 8 if args.smoke else 24
 
-    def bench() -> None:
+    def bench():
         turbo.clear_cache()
         for strategy in ("SP", "SE", "RD", "FP"):
             for _ in range(repeats):
@@ -492,6 +497,19 @@ def _cmd_perf(args) -> int:
             cardinality=args.cardinality,
             fast_path=not args.no_fast_path,
         )
+        # Arrivals several times faster than one query's service time:
+        # they overlap on the guideline policy's processor shares.
+        return run_workload(
+            "paper",
+            arrivals="poisson",
+            rate=0.4,
+            duration=2.5 * queries,
+            seed=3,
+            machine_size=2 * args.processors,
+            policy="guideline",
+            cardinality=args.cardinality // 2,
+            fast_path=not args.no_fast_path,
+        )
 
     if args.profile:
         import cProfile
@@ -508,12 +526,14 @@ def _cmd_perf(args) -> int:
         print(stream.getvalue(), end="")
     else:
         started = time.perf_counter()
-        bench()
+        overlapped = bench()
         elapsed = time.perf_counter() - started
         print(
             f"perf bench: {elapsed:.3f}s wall "
             f"({repeats}x4 strategies @ {args.cardinality} tuples, "
-            f"{queries}-query closed loop); turbo {turbo.cache_stats()}"
+            f"{queries}-query closed loop, {len(overlapped.records)}-query "
+            f"open loop with up to {overlapped.peak_in_flight} in flight); "
+            f"turbo {turbo.cache_stats()}"
         )
     return 0
 
@@ -717,8 +737,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="hot-path micro-bench, optionally under cProfile "
-             "(committed numbers come from benchmarks/bench_perf.py)",
+        help="micro-bench of the solo, single-occupancy and overlapped "
+             "paths, optionally under cProfile (committed numbers come "
+             "from benchmarks/bench_perf.py and benchmarks/ladder)",
     )
     p.add_argument("--profile", action="store_true",
                    help="wrap the bench in cProfile and print the "

@@ -6,7 +6,12 @@ schedule order so runs are exactly reproducible.  Everything in the
 machine simulation — scheduler initialization, batch deliveries, CPU
 chunk completions — is an event here.
 
-Two optional facilities support the request-lifecycle layer without
+:meth:`SimulationClock.run` has one horizon-free dispatch loop, shared
+by every caller that matters (owned runs that fall off the analytic
+path, the workload engine, the coordinated cluster), and a second one
+for ``until=`` that only tests use.  Per event the horizon-free loop
+pops, skips a tombstone, stores ``now``, calls the callback and bumps
+a local counter; two optional facilities ride on it without
 perturbing runs that do not use them:
 
 * :meth:`SimulationClock.at_cancellable` returns an
@@ -14,10 +19,14 @@ perturbing runs that do not use them:
   — it is not dispatched, not counted in ``events_dispatched``, and
   does not advance ``now``.  A deadline that never fires therefore
   leaves no trace at all (bit-for-bit identity with a deadline-free
-  run).
+  run).  Cancelling is also what compacts: once tombstones outnumber
+  live entries the heap is rebuilt, in place, from inside
+  :meth:`EventHandle.cancel` — the loops carry no per-event check.
 * :attr:`SimulationClock.watchdog` (see :mod:`repro.sim.watchdog`)
-  observes every dispatch and aborts no-advance livelocks with a
-  diagnostic instead of spinning until the ``max_events`` guard.
+  aborts no-advance livelocks with a diagnostic instead of spinning
+  until the ``max_events`` guard.  Armed, it costs the loop a
+  same-instant compare and a ``deque.append`` of the entry it already
+  holds; nothing is formatted unless it trips.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ class EventHandle:
     the entry instead (lazy deletion); :meth:`SimulationClock.run`
     drops marked entries without dispatching or counting them, and the
     owning clock keeps a dead-entry count so a queue dominated by
-    cancelled work can be compacted in one pass.
+    cancelled work is compacted in one pass, here, as it becomes so.
     """
 
     __slots__ = ("cancelled", "_clock")
@@ -50,7 +59,12 @@ class EventHandle:
             self.cancelled = True
             clock = self._clock
             if clock is not None:
-                clock._dead += 1
+                clock._dead = dead = clock._dead + 1
+                if (
+                    dead > clock.COMPACT_THRESHOLD
+                    and dead * 2 > len(clock._queue)
+                ):
+                    clock.compact()
 
 
 class SimulationClock:
@@ -68,8 +82,7 @@ class SimulationClock:
         self._seq = 0
         self.events_dispatched = 0
         self._dead = 0  # cancelled entries still sitting in the heap
-        #: Optional progress monitor (:class:`repro.sim.watchdog.Watchdog`);
-        #: ``None`` keeps the dispatch loop on its bare fault-free path.
+        #: Optional progress monitor (:class:`repro.sim.watchdog.Watchdog`).
         self.watchdog: Optional["Watchdog"] = None
 
     def at(self, time: float, fn: Callable, *args: Any) -> None:
@@ -102,20 +115,39 @@ class SimulationClock:
         Returns the final clock value.  ``max_events`` is a runaway
         guard: a correct simulation of this model always terminates.
         """
+        if until is not None:
+            return self._run_until(until, max_events)
+        # All loop state in locals, the watchdog's included: its
+        # same-instant counter is Watchdog.observe inlined, loaded here
+        # and stored back on every way out.
         queue = self._queue
         pop = heapq.heappop
+        watchdog = self.watchdog
+        if watchdog is None:
+            record = None
+        else:
+            record = watchdog._recent.append
+            limit = watchdog.max_events_per_instant
+            instant = watchdog._instant
+            burst = watchdog._count_at_instant
         dispatched = 0
-        if until is None and self.watchdog is None:
-            # Fast path: no horizon check, no watchdog probe, and all
-            # loop state in locals.  This is the loop every fault-free
-            # owned run that falls off the analytic path spins in.
+        try:
             while queue:
                 entry = pop(queue)
                 handle = entry[2]
                 if handle is not None and handle.cancelled:
                     self._dead -= 1
                     continue  # skipped: no dispatch, no count, no advance
-                self.now = entry[0]
+                self.now = time = entry[0]
+                if record is not None:
+                    if time != instant:
+                        instant = time
+                        burst = 1
+                    else:
+                        burst += 1
+                    record(entry)
+                    if burst > limit:
+                        watchdog.trip(time, burst)
                 entry[3](*entry[4])
                 dispatched += 1
                 if dispatched > max_events:
@@ -123,20 +155,27 @@ class SimulationClock:
                         f"simulation exceeded {max_events} events; "
                         "likely a wiring bug (cyclic deliveries)"
                     )
-            self.events_dispatched += dispatched
-            return self.now
-        while queue:
-            entry = queue[0]
-            if until is not None and entry[0] > until:
-                break
-            pop(queue)
-            time, _seq, handle, fn, args = entry
+        finally:
+            if watchdog is not None:
+                watchdog._instant = instant
+                watchdog._count_at_instant = burst
+        self.events_dispatched += dispatched
+        return self.now
+
+    def _run_until(self, until: float, max_events: int) -> float:
+        """:meth:`run` with a horizon: stop before the first event past
+        ``until`` and advance the clock to it."""
+        queue = self._queue
+        watchdog = self.watchdog
+        dispatched = 0
+        while queue and queue[0][0] <= until:
+            time, _seq, handle, fn, args = heapq.heappop(queue)
             if handle is not None and handle.cancelled:
                 self._dead -= 1
-                continue  # skipped: no dispatch, no count, no time advance
+                continue
             self.now = time
-            if self.watchdog is not None:
-                self.watchdog.observe(time, fn, args)
+            if watchdog is not None:
+                watchdog.observe(time, fn, args)
             fn(*args)
             dispatched += 1
             if dispatched > max_events:
@@ -144,27 +183,24 @@ class SimulationClock:
                     f"simulation exceeded {max_events} events; "
                     "likely a wiring bug (cyclic deliveries)"
                 )
-            dead = self._dead
-            if dead > self.COMPACT_THRESHOLD and dead * 2 > len(queue):
-                self.compact()
-                queue = self._queue
         self.events_dispatched += dispatched
-        if until is not None and self.now < until:
+        if self.now < until:
             # Advance to the horizon; any remaining events lie beyond it.
             self.now = until
         return self.now
 
     def compact(self) -> int:
-        """Drop cancelled entries and re-heapify; returns how many
-        entries were reaped.  Pop order of live entries is unchanged
-        (same entries, same sort keys), so compaction is invisible to
-        the simulation."""
+        """Drop cancelled entries and re-heapify, in place (a running
+        dispatch loop keeps its reference to the list); returns how
+        many entries were reaped.  Pop order of live entries is
+        unchanged (same entries, same sort keys), so compaction is
+        invisible to the simulation."""
         queue = self._queue
         live = [e for e in queue if e[2] is None or not e[2].cancelled]
         reaped = len(queue) - len(live)
         if reaped:
-            heapq.heapify(live)
-            self._queue = live
+            queue[:] = live
+            heapq.heapify(queue)
         self._dead = 0
         return reaped
 

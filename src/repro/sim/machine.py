@@ -172,31 +172,48 @@ class Processor:
                 factor *= window_factor
         return factor
 
-    def acquire(self, now: float, duration: float, label: str) -> float:
+    def acquire(
+        self,
+        now: float,
+        duration: float,
+        label: str,
+        spans: Optional[List[Tuple[float, float, str]]] = None,
+    ) -> float:
         """Occupy the CPU for ``duration`` starting no earlier than
         ``now``; returns the completion time.
 
         Work requested while the CPU is busy queues behind it (the
         operation process model never interleaves chunks).  Adjacent
         intervals with the same label are merged to keep traces small.
+
+        ``spans`` is the caller's own record on a shared processor: it
+        mirrors what this call does to :attr:`intervals` (an appended
+        interval is appended, a merged one replaces its last entry —
+        the same label means the same caller, so that entry is the one
+        merged), and the caller reads its spans back from it without
+        scanning its neighbours'.
         """
         if duration < 0:
             raise ValueError("negative duration")
-        start = max(now, self.busy_until)
+        busy = self.busy_until
+        start = busy if busy > now else now
         if self.stalls and duration > 0:
             duration *= self.stall_factor(start)
         end = start + duration
         self.busy_until = end
         if duration > 0:
-            if (
-                self.intervals
-                and self.intervals[-1][2] == label
-                and abs(self.intervals[-1][1] - start) < 1e-12
-            ):
-                prev_start, _prev_end, _ = self.intervals[-1]
-                self.intervals[-1] = (prev_start, end, label)
-            else:
-                self.intervals.append((start, end, label))
+            intervals = self.intervals
+            if intervals:
+                last = intervals[-1]
+                if last[2] == label and -1e-12 < last[1] - start < 1e-12:
+                    intervals[-1] = span = (last[0], end, label)
+                    if spans is not None:
+                        spans[-1] = span
+                    return end
+            span = (start, end, label)
+            intervals.append(span)
+            if spans is not None:
+                spans.append(span)
         return end
 
     def busy_time(self) -> float:

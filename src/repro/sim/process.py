@@ -23,6 +23,15 @@ sides symmetrically and produces matches proportional to the product
 of arrived fractions — the source of the bushy-pipeline ramp-up delay
 of Section 2.3.3.
 
+Each subclass's :meth:`~OperationProcess.kick` is the algorithm's whole
+chunk step, fused: operand selection, chunk size, result tuples, CPU
+occupation and the completion event in one straight-line method, with
+the constants it reads (tuple unit, per-port chunk caps, match density)
+hoisted when the process starts.  Every overlapped query pays this path
+once per chunk, so it is written for cost per call; it is also the
+single definition of chunking and emission — there are no per-step
+hook methods to override.
+
 These state machines are the *reference* semantics.  Owned,
 fault-free, deadline-free runs are normally executed by the analytic
 engine in :mod:`repro.sim.turbo`, which must reproduce every
@@ -32,15 +41,17 @@ coalescing).  Any behavioural change here therefore needs a matching
 change there — the golden-identity and turbo-equivalence tests pin
 the pairing.  Turbo additionally *caches* replayable timing profiles
 keyed on the inputs these state machines read (algorithm, work scale,
-port modes and coefficients, chunk policy), so any change to the
-chunking or emission policy here must also bump
+port modes and coefficients, chunk policy), so any *behavioural* change
+to the chunking or emission policy here must also bump
 :data:`repro.sim.turbo.STRUCTURE_VERSION` — otherwise a stale cached
-profile from before the change could replay the old semantics.
+profile from before the change could replay the old semantics.  (A
+restructuring that keeps every float expression's operand order, every
+tie-break and every event — like the fusion above — does not.)
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .events import SimulationClock
 from .machine import MachineConfig, Processor
@@ -48,10 +59,22 @@ from .streams import ConsumerGroup, EPSILON, Port
 
 
 class OperationProcess:
-    """Base class: lifecycle, CPU chunking, and output bookkeeping."""
+    """Base class: lifecycle, completion, and output bookkeeping.
+
+    Subclasses supply :meth:`kick`, the algorithm's fused chunk step.
+    """
 
     #: Subclasses set this to the paper's algorithm name.
     algorithm = "?"
+
+    __slots__ = (
+        "name", "processor", "clock", "config", "left", "right",
+        "result_local", "result_coeff", "output", "output_pipelined",
+        "on_done", "work_scale", "spans",
+        "ready", "released", "started", "cpu_busy", "closing", "done",
+        "aborted", "done_time", "start_time", "out_total",
+        "_tuple_unit", "_left_cap", "_right_cap",
+    )
 
     def __init__(
         self,
@@ -68,6 +91,7 @@ class OperationProcess:
         output_pipelined: bool,
         on_done: Callable[["OperationProcess"], None],
         work_scale: float = 1.0,
+        spans: Optional[List[Tuple[float, float, str]]] = None,
     ):
         self.name = name
         self.processor = processor
@@ -86,6 +110,9 @@ class OperationProcess:
         # ``work`` override (the Figure 2 example tree) spends exactly
         # that much relative CPU time, preserving the flow shape.
         self.work_scale = work_scale
+        #: Where :meth:`Processor.acquire` keeps this run's own spans
+        #: of a shared processor's trace (``None``: not tracked).
+        self.spans = spans
 
         self.ready = False
         self.released = False
@@ -127,21 +154,24 @@ class OperationProcess:
             return
         self.started = True
         self.start_time = self.clock.now
-        # Hold the CPU through startup: injecting a base port fires
-        # kick() re-entrantly, and work must not begin before both
+        self._hoist()
+        # Hold the CPU through startup: work must not begin before both
         # ports are populated and the handshakes are paid.
         self.cpu_busy = True
         for port in (self.left, self.right):
             if port.mode == "base" and port.local_total > 0:
                 port.inject(port.local_total, self.clock.now)
-        handshakes = self._startup_handshakes()
-        duration = handshakes * self.config.handshake
-        if duration > 0:
-            end = self.processor.acquire(self.clock.now, duration, f"{self.name}:hs")
-            self.clock.at(end, self._handshake_done)
-        else:
+        if not self._hold_for_handshakes(self._startup_handshakes()):
             self.cpu_busy = False
             self.kick()
+
+    def _hoist(self) -> None:
+        """Read the chunk step's constants once, now that the process
+        will run (the analytic path builds processes it never starts,
+        so construction stays free of this)."""
+        self._tuple_unit = self.config.tuple_unit
+        self._left_cap = self.left.chunk_cap(self.config.batches)
+        self._right_cap = self.right.chunk_cap(self.config.batches)
 
     def _startup_handshakes(self) -> int:
         """Stream handshakes paid at start: consumer side of each
@@ -154,6 +184,19 @@ class OperationProcess:
             count += len(self.output.ports)
         return count
 
+    def _hold_for_handshakes(self, count: int) -> bool:
+        """Occupy the CPU for ``count`` stream handshakes; ``False``
+        when they cost nothing and there is no completion to wait for."""
+        duration = count * self.config.handshake
+        if duration <= 0:
+            return False
+        self.cpu_busy = True
+        end = self.processor.acquire(
+            self.clock.now, duration, f"{self.name}:hs", self.spans
+        )
+        self.clock.at(end, self._handshake_done)
+        return True
+
     def _handshake_done(self) -> None:
         if self.aborted:
             return
@@ -163,23 +206,16 @@ class OperationProcess:
     # -- work loop ------------------------------------------------------
 
     def kick(self) -> None:
-        """Try to make progress; called on every arrival and completion."""
-        if not self.started or self.cpu_busy or self.done or self.aborted:
-            return
-        selection = self._select_chunk()
-        if selection is None:
-            self._maybe_finish()
-            return
-        port, chunk = selection
-        out = self._output_for_chunk(port, chunk)
-        duration = (
-            (chunk * port.coefficient + out * self.result_coeff)
-            * self.config.tuple_unit
-            * self.work_scale
-        )
-        self.cpu_busy = True
-        end = self.processor.acquire(self.clock.now, duration, self.name)
-        self.clock.at(end, self._chunk_done, port, chunk, out)
+        """Try to make progress; called on every arrival (unless the
+        CPU is mid-chunk) and on every completion.
+
+        The algorithm's whole chunk step in one straight line: pick the
+        operand and the tuple count, compute the result tuples the
+        chunk produces, occupy the CPU, schedule :meth:`_chunk_done` —
+        or call :meth:`_maybe_finish` when nothing is pending.  Chunk
+        size is ``min(port.pending, cap)`` with the remainder snapped
+        to zero below ``EPSILON`` (:meth:`Port.take`, inlined)."""
+        raise NotImplementedError
 
     def _chunk_done(self, port: Port, chunk: float, out: float) -> None:
         if self.aborted:
@@ -205,36 +241,25 @@ class OperationProcess:
             # producer must open its n×m streams before it can ship the
             # stored fragments; paid before completion so a dependent
             # task's barrier sees it.
-            if self.output is not None and not self.output_pipelined:
-                duration = len(self.output.ports) * self.config.handshake
-                if duration > 0:
-                    self.cpu_busy = True
-                    end = self.processor.acquire(
-                        self.clock.now, duration, f"{self.name}:hs"
-                    )
-                    self.clock.at(end, self._handshake_done)
-                    return
+            if (
+                self.output is not None
+                and not self.output_pipelined
+                and self._hold_for_handshakes(len(self.output.ports))
+            ):
+                return
         self.done = True
         self.done_time = self.clock.now
         if self.output is not None and self.output_pipelined:
             self.output.deliver_eos(self.clock)
         self.on_done(self)
 
-    # -- algorithm hooks ---------------------------------------------------
-
-    def _select_chunk(self) -> Optional[Tuple[Port, float]]:
-        """Pick the next (port, tuple count) to process, or ``None``."""
-        raise NotImplementedError
-
-    def _output_for_chunk(self, port: Port, chunk: float) -> float:
-        """Result tuples produced by processing ``chunk`` from ``port``."""
-        raise NotImplementedError
-
 
 class SimpleHashJoinProcess(OperationProcess):
     """Two-phase build/probe join: probing blocked until build drained."""
 
     algorithm = "simple"
+
+    __slots__ = ("build", "probe")
 
     def __init__(self, *, build_side: str = "left", **kwargs):
         super().__init__(**kwargs)
@@ -243,19 +268,42 @@ class SimpleHashJoinProcess(OperationProcess):
         self.build = self.left if build_side == "left" else self.right
         self.probe = self.right if build_side == "left" else self.left
 
-    def _select_chunk(self) -> Optional[Tuple[Port, float]]:
-        if not self.build.drained:
-            chunk = self.build.take(self.build.chunk_cap(self.config.batches))
-            return (self.build, chunk) if chunk > 0 else None
-        chunk = self.probe.take(self.probe.chunk_cap(self.config.batches))
-        return (self.probe, chunk) if chunk > 0 else None
-
-    def _output_for_chunk(self, port: Port, chunk: float) -> float:
-        if port is self.build or self.probe.local_total <= 0:
-            return 0.0
-        # Probing a complete hash table: results proportional to probe
-        # progress (exactly the simple hash-join's output timing).
-        return chunk * self.result_local / self.probe.local_total
+    def kick(self) -> None:
+        if not self.started or self.cpu_busy or self.done or self.aborted:
+            return
+        port = self.build
+        pending = port.pending
+        if pending > EPSILON or not (
+            port.eos_received >= port.expected_producers or port.mode == "base"
+        ):  # not port.drained
+            building = True
+        else:
+            port = self.probe
+            pending = port.pending
+            building = False
+        cap = self._left_cap if port is self.left else self._right_cap
+        chunk = cap if cap < pending else pending
+        if chunk <= 0:
+            self._maybe_finish()
+            return
+        pending -= chunk
+        port.pending = 0.0 if pending < EPSILON else pending
+        if building or port.local_total <= 0:
+            out = 0.0
+        else:
+            # Probing a complete hash table: results proportional to
+            # probe progress (exactly the simple hash-join's output
+            # timing).
+            out = chunk * self.result_local / port.local_total
+        duration = (
+            (chunk * port.coefficient + out * self.result_coeff)
+            * self._tuple_unit
+            * self.work_scale
+        )
+        self.cpu_busy = True
+        clock = self.clock
+        end = self.processor.acquire(clock.now, duration, self.name, self.spans)
+        clock.at(end, self._chunk_done, port, chunk, out)
 
 
 class PipeliningHashJoinProcess(OperationProcess):
@@ -263,27 +311,59 @@ class PipeliningHashJoinProcess(OperationProcess):
 
     algorithm = "pipelining"
 
-    def _select_chunk(self) -> Optional[Tuple[Port, float]]:
-        candidates = [p for p in (self.left, self.right) if p.pending > EPSILON]
-        if not candidates:
-            return None
-        # Favour the operand that is furthest behind, mimicking the
-        # symmetric algorithm's fair consumption of both inputs.
-        def progress(port: Port) -> float:
-            if port.local_total <= 0:
-                return 1.0
-            return port.processed / port.local_total
+    __slots__ = ("_density",)
 
-        port = min(candidates, key=progress)
-        return (port, port.take(port.chunk_cap(self.config.batches)))
-
-    def _output_for_chunk(self, port: Port, chunk: float) -> float:
-        other = self.right if port is self.left else self.left
-        if self.left.local_total <= 0 or self.right.local_total <= 0:
-            return 0.0
+    def _hoist(self) -> None:
+        super()._hoist()
         # A new tuple matches the part of the other operand's hash
         # table built so far; every match is produced exactly once, by
         # whichever side is processed later.  Summed over the run this
-        # yields exactly result_local tuples.
-        density = self.result_local / (self.left.local_total * self.right.local_total)
-        return chunk * other.processed * density
+        # yields exactly result_local tuples.  Zero when an operand is
+        # empty: the chunk's output product is then exactly +0.0.
+        left_total, right_total = self.left.local_total, self.right.local_total
+        if left_total > 0 and right_total > 0:
+            self._density = self.result_local / (left_total * right_total)
+        else:
+            self._density = 0.0
+
+    def kick(self) -> None:
+        if not self.started or self.cpu_busy or self.done or self.aborted:
+            return
+        left = self.left
+        right = self.right
+        if left.pending > EPSILON:
+            port = left
+            if right.pending > EPSILON:
+                # Both pending: favour the operand that is furthest
+                # behind (a tie goes to the left), mimicking the
+                # symmetric algorithm's fair consumption of both inputs.
+                total = left.local_total
+                behind = 1.0 if total <= 0 else left.processed / total
+                total = right.local_total
+                if (1.0 if total <= 0 else right.processed / total) < behind:
+                    port = right
+        elif right.pending > EPSILON:
+            port = right
+        else:
+            self._maybe_finish()
+            return
+        if port is left:
+            cap = self._left_cap
+            other = right
+        else:
+            cap = self._right_cap
+            other = left
+        pending = port.pending
+        chunk = cap if cap < pending else pending
+        pending -= chunk
+        port.pending = 0.0 if pending < EPSILON else pending
+        out = chunk * other.processed * self._density
+        duration = (
+            (chunk * port.coefficient + out * self.result_coeff)
+            * self._tuple_unit
+            * self.work_scale
+        )
+        self.cpu_busy = True
+        clock = self.clock
+        end = self.processor.acquire(clock.now, duration, self.name, self.spans)
+        clock.at(end, self._chunk_done, port, chunk, out)

@@ -160,6 +160,11 @@ class ScheduleSimulation:
         self._deadline_handle = None
         self._completed_tasks = 0
         self.processors: Dict[int, Processor] = {}
+        #: Hosted runs: per logical processor, this run's own spans of
+        #: the shared ``Processor.intervals`` (kept by
+        #: ``Processor.acquire``; by the hosted fast path when it
+        #: commits an epoch).
+        self._spans: Dict[int, List[Tuple[float, float, str]]] = {}
         self.network = (
             network
             if network is not None
@@ -206,6 +211,7 @@ class ScheduleSimulation:
         if ident not in self.processors:
             if self._pool is not None:
                 self.processors[ident] = self._pool[ident]
+                self._spans[ident] = []
             else:
                 self.processors[ident] = Processor(ident)
         return self.processors[ident]
@@ -293,6 +299,7 @@ class ScheduleSimulation:
                     output_pipelined=False,  # wired afterwards
                     on_done=on_done,
                     work_scale=work_scale,
+                    spans=self._spans.get(proc_id),
                 )
                 if simple:
                     process = SimpleHashJoinProcess(
@@ -484,7 +491,7 @@ class ScheduleSimulation:
         Response time is relative to ``start_at`` — for an owned run
         exactly the paper's measure, for a hosted run the query's
         service time on the shared machine.  On shared processors only
-        the busy intervals carrying this run's ``label_prefix`` are
+        the run's own busy intervals (:meth:`own_intervals`) are
         attributed to the query.
         """
         if self.aborted_reason is not None:
@@ -517,31 +524,28 @@ class ScheduleSimulation:
             response_time=response,
             config=self.config,
             task_timings=timings,
-            intervals={
-                ident: self._attributed_intervals(proc)
-                for ident, proc in sorted(self.processors.items())
-            },
+            intervals=self.own_intervals(),
             operation_processes=sum(len(rt.processes) for rt in self.runtimes),
             stream_count=self.schedule.stream_count(),
             events=self.clock.events_dispatched,
             result_tuples=sum(p.out_total for p in root.processes),
         )
 
-    def _attributed_intervals(
-        self, processor: Processor
-    ) -> List[Tuple[float, float, str]]:
-        """The processor's busy intervals belonging to this run.
+    def own_intervals(self) -> Dict[int, List[Tuple[float, float, str]]]:
+        """This run's busy intervals, per logical processor.
 
         An owned run is alone on its processors, so everything is its
-        own; on a shared pool the ``label_prefix`` identifies it.
+        own; on a shared pool the run reads back exactly the spans it
+        recorded — never its neighbours' — so the cost is proportional
+        to its own work, not to how long the machine has been serving.
+        Valid mid-run too: an aborted attempt's burnt CPU is the sum
+        over this.
         """
-        if self._pool is None:
-            return list(processor.intervals)
-        return [
-            span
-            for span in processor.intervals
-            if span[2].startswith(self.label_prefix)
-        ]
+        spans = self._spans if self._pool is not None else None
+        return {
+            ident: list(processor.intervals if spans is None else spans[ident])
+            for ident, processor in sorted(self.processors.items())
+        }
 
 
 def simulate(

@@ -84,14 +84,18 @@ class Port:
             self.pending += count
             if self.first_arrival is None:
                 self.first_arrival = now
-        self.eos_received += eos
-        if self.eos_received > self.expected_producers and self.mode != "base":
-            raise RuntimeError(
-                f"port {self.side} received {self.eos_received} EOS markers "
-                f"from {self.expected_producers} producers"
-            )
-        if self.process is not None:
-            self.process.kick()
+        if eos:
+            self.eos_received += eos
+            if self.eos_received > self.expected_producers and self.mode != "base":
+                raise RuntimeError(
+                    f"port {self.side} received {self.eos_received} EOS markers "
+                    f"from {self.expected_producers} producers"
+                )
+        process = self.process
+        if process is not None and not process.cpu_busy:
+            # Mid-chunk the kick would return at once; the completion
+            # kicks anyway and finds this batch pending.
+            process.kick()
 
     @property
     def stream_closed(self) -> bool:
@@ -106,7 +110,8 @@ class Port:
         return self.stream_closed and self.pending <= EPSILON
 
     def take(self, cap: float) -> float:
-        """Remove up to ``cap`` pending tuples for processing."""
+        """Remove up to ``cap`` pending tuples for processing (the
+        operation processes' chunk steps inline exactly this)."""
         chunk = min(self.pending, cap)
         self.pending -= chunk
         if self.pending < EPSILON:
@@ -199,5 +204,6 @@ class ConsumerGroup:
         )
 
     def _arrive(self, clock: SimulationClock, count: float, eos: int) -> None:
+        now = clock.now
         for port, share in zip(self.ports, self.shares):
-            port.receive(count * share, eos, clock.now)
+            port.receive(count * share, eos, now)

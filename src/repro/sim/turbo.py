@@ -1281,6 +1281,9 @@ def execute_hosted(sim, barrier: float) -> Optional[float]:
         _STATS["hosted_rollbacks"] += 1
         _rollback(sim, marks)
         return None
+    # Single occupancy: everything past each mark is this epoch's.
+    for ident, (processor, mark, _busy) in zip(sim.processors, marks):
+        sim._spans[ident].extend(processor.intervals[mark:])
     sim.network.transferred += transferred
     sim._completed_tasks = len(sim.runtimes)
     sim.finished_at = finished_at

@@ -9,12 +9,21 @@ but only after tens of millions of wasted dispatches and with no clue
 about *what* was spinning.
 
 A :class:`Watchdog` attaches to a clock
-(``clock.watchdog = Watchdog(...)``), observes every dispatch, and
-raises :class:`WatchdogError` as soon as more than
-``max_events_per_instant`` events fire without the clock advancing —
-carrying a diagnostic dump of the most recent events so the offending
-callback loop is visible in the traceback instead of requiring a
-debugger on a wedged process.
+(``clock.watchdog = Watchdog(...)``) and raises :class:`WatchdogError`
+as soon as more than ``max_events_per_instant`` events fire without the
+clock advancing — carrying a diagnostic dump of the most recent events
+so the offending callback loop is visible in the traceback instead of
+requiring a debugger on a wedged process.
+
+The watchdog **records, and formats only when read**.  Its ring holds
+the raw heap entries the clock dispatched (no allocation, no string
+work); :meth:`Watchdog.dump` turns them into text, which happens once
+per trip and never on a healthy run.  The per-instant counter is two
+compares and an add, cheap enough that the clock's dispatch loop
+carries it inline (loading the state from the watchdog when ``run``
+starts and storing it back when ``run`` ends) rather than calling
+:meth:`Watchdog.observe` per event; ``observe`` is the same step for
+callers that feed a watchdog by hand.
 
 The watchdog is pure observation: it never changes event order,
 timing, or counts, so an armed watchdog that does not trip is
@@ -24,7 +33,7 @@ invisible to results (the workload engine arms one by default).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Tuple
+from typing import Callable, Deque, List
 
 #: Default trip threshold.  Legitimate workloads dispatch at most a few
 #: thousand events at one instant (bounded by machine size × concurrent
@@ -87,29 +96,34 @@ class Watchdog:
         self.max_events_per_instant = max_events_per_instant
         self._instant: float = float("-inf")
         self._count_at_instant = 0
-        self._recent: Deque[Tuple[float, str]] = deque(maxlen=trace_events)
+        #: Raw ``(time, seq, handle, fn, args)`` heap entries, newest last.
+        self._recent: Deque[tuple] = deque(maxlen=trace_events)
         self.tripped = False
 
-    # -- the clock's per-dispatch hook ------------------------------------
-
     def observe(self, time: float, fn: Callable, args: tuple) -> None:
-        """Called by the clock before dispatching each event."""
+        """Count one dispatch at ``time``; trips past the threshold.
+
+        :meth:`SimulationClock.run` inlines this step on the
+        horizon-free loop; it must stay equivalent to that copy."""
         if time != self._instant:
             self._instant = time
             self._count_at_instant = 1
         else:
             self._count_at_instant += 1
-        self._recent.append((time, _describe(fn, args)))
+        self._recent.append((time, None, None, fn, args))
         if self._count_at_instant > self.max_events_per_instant:
-            self.tripped = True
-            raise WatchdogError(
-                f"simulation livelock: {self._count_at_instant} events "
-                f"dispatched at simulated t={time:.6f}s without the clock "
-                "advancing (a callback keeps rescheduling itself at the "
-                "current instant)",
-                at=time,
-                diagnostic=self.dump(),
-            )
+            self.trip(time, self._count_at_instant)
+
+    def trip(self, time: float, count: int) -> None:
+        """Declare the instant ``time`` livelocked after ``count`` events."""
+        self.tripped = True
+        raise WatchdogError(
+            f"simulation livelock: {count} events dispatched at simulated "
+            f"t={time:.6f}s without the clock advancing (a callback keeps "
+            "rescheduling itself at the current instant)",
+            at=time,
+            diagnostic=self.dump(),
+        )
 
     # -- diagnostics ------------------------------------------------------
 
@@ -118,8 +132,8 @@ class Watchdog:
         lines: List[str] = [
             f"last {len(self._recent)} events before the watchdog tripped:"
         ]
-        for time, description in self._recent:
-            lines.append(f"  t={time:.6f}s  {description}")
+        for time, _seq, _handle, fn, args in self._recent:
+            lines.append(f"  t={time:.6f}s  {_describe(fn, args)}")
         return "\n".join(lines)
 
 

@@ -192,7 +192,7 @@ class DeadlineAwarePolicy(ShedPolicy):
         free_in = 0.0
         if engine._in_flight >= slots and engine._active:
             residuals = []
-            for active, _sim, _alloc, _mem, _prefix in engine._active.values():
+            for active, _sim, _alloc, _mem in engine._active.values():
                 estimate = self.service_estimate(engine, active.spec)
                 if estimate is None:
                     continue

@@ -48,6 +48,21 @@ class TestSimulate:
         assert uniform != skewed
 
 
+class TestPerf:
+    def test_smoke_bench_covers_the_overlapped_path(self, capsys):
+        """The bench must exercise the path that serves traffic — several
+        queries in flight on the classic loop — not only single
+        occupancy, or its profile never shows what overlapped serving
+        costs."""
+        import re
+
+        code, out = run_cli(capsys, "perf", "--smoke", "--cardinality", "600")
+        assert code == 0
+        in_flight = re.search(r"open loop with up to (\d+) in flight", out)
+        assert in_flight and int(in_flight.group(1)) > 1
+        assert "'hosted_runs': 8" in out  # the closed loop still fast-paths
+
+
 class TestPlan:
     def test_xra_output(self, capsys):
         code, out = run_cli(

@@ -289,6 +289,73 @@ class TestWatchdogRegression:
         assert "engine state at trip" in message
         assert "in flight" in message
 
+    def _livelocked(self, fast_config):
+        engine = small_engine(
+            fast_config, queue_limit=0, watchdog_limit=500
+        )
+        engine.rejected_retry_delay = 0.0  # revert the fix, in-test only
+        with pytest.raises(WatchdogError) as excinfo:
+            engine.run_closed(
+                QueryMix.single(SMALL), 2, think_time=0.0, duration=50.0
+            )
+        return excinfo.value
+
+    def test_zero_retry_delay_livelock_diagnostic_is_pinned(
+        self, fast_config
+    ):
+        """The whole diagnostic, character for character, as the eager
+        per-event formatter produced it before formatting moved to
+        ``Watchdog.dump()``."""
+        error = self._livelocked(fast_config)
+        assert error.at == 0.0
+        assert str(error).splitlines()[0] == (
+            "simulation livelock: 501 events dispatched at simulated "
+            "t=0.000000s without the clock advancing (a callback keeps "
+            "rescheduling itself at the current instant)"
+        )
+        assert error.diagnostic == "\n".join(
+            ["last 20 events before the watchdog tripped:"]
+            + [
+                "  t=0.000000s  WorkloadEngine._arrive"
+                f"(QueryRecord(index={index}))"
+                for index in range(479, 499)
+            ]
+            + [
+                "engine state at trip: 0 queued [], 1 in flight [0], "
+                "499 submitted"
+            ]
+        )
+
+    def test_events_are_described_only_when_the_dump_is_read(
+        self, fast_config, monkeypatch
+    ):
+        """An armed, quiet watchdog formats nothing; a trip formats at
+        most the ring it shows."""
+        from repro.sim import watchdog
+
+        calls = []
+        describe = watchdog._describe
+
+        def counting(fn, args):
+            calls.append(fn)
+            return describe(fn, args)
+
+        monkeypatch.setattr(watchdog, "_describe", counting)
+        result = api.run_workload(
+            "paper",
+            arrivals="poisson",
+            rate=0.5,
+            duration=20.0,
+            seed=2,
+            machine_size=40,
+            policy="guideline",
+            cardinality=300,
+        )
+        assert result.peak_in_flight > 1  # overlapped: the classic loop
+        assert calls == []
+        self._livelocked(fast_config)
+        assert 0 < len(calls) <= watchdog.DEFAULT_TRACE_EVENTS
+
     def test_watchdog_can_be_disarmed(self, fast_config):
         engine = small_engine(fast_config, watchdog_limit=None)
         assert engine.machine.clock.watchdog is None
@@ -302,6 +369,42 @@ class TestWatchdogRegression:
             arrivals
         )
         assert armed.rows() == disarmed.rows()
+        assert armed.makespan == disarmed.makespan
+
+
+    def test_disarmed_and_armed_overlapped_runs_are_byte_identical(self):
+        """Beyond a four-query burst: tenants, wfq, a deadline abort
+        and a crash + restart, several queries in flight — the armed
+        default and ``watchdog_limit=None`` must emit the same bytes."""
+        import json
+
+        from repro.faults import CrashFault, FaultSchedule
+
+        def run(**watchdog):
+            return api.run_workload(
+                "paper",
+                arrivals="poisson",
+                rate=0.5,
+                duration=30.0,
+                seed=3,
+                machine_size=48,
+                policy="guideline",
+                cardinality=300,
+                scheduler="wfq",
+                tenants=[
+                    {"name": "a", "weight": 2, "rate": 0.3, "deadline": 8.3},
+                    {"name": "b", "weight": 1, "rate": 0.2},
+                ],
+                faults=FaultSchedule(crashes=(CrashFault(3, 8.0, 13.0),)),
+                recovery="restart",
+                **watchdog,
+            )
+
+        armed, disarmed = run(), run(watchdog_limit=None)
+        assert armed.peak_in_flight > 2
+        assert any(r.deadline_missed for r in armed.records)
+        assert any(r.aborts for r in armed.records)
+        assert json.dumps(armed.rows()) == json.dumps(disarmed.rows())
         assert armed.makespan == disarmed.makespan
 
 
