@@ -1,6 +1,6 @@
 """The BENCH perf trajectory: simulator hot-path throughput over PRs.
 
-Four numbers institutionalize the performance work so later PRs can
+Five numbers institutionalize the performance work so later PRs can
 only move them deliberately:
 
 * **simulated events/sec** — the four paper strategies on the
@@ -14,6 +14,13 @@ only move them deliberately:
 * **workload replay** — a repeat-heavy single-occupancy closed loop
   run with the hosted fast path on and off; the on/off queries-per-
   second ratio is the turbo-v2 workload headline (gated ≥ a floor).
+* **cold FP** — the paper's deepest pipeline (left_linear, 80
+  processors, 5 000 tuples) interpreted by turbo with its caches
+  cleared before every run, against the same simulation drained
+  through the classic event loop in the same process.  The events
+  block above is warm by design; this is the row a replay cannot
+  hide behind, and a ratio of two timings on one box, so its gate
+  needs no calibration.
 * **sweep wall-clock** — the parallel runner over a small wide_bushy
   grid, end to end (planning + simulation + collection).
 
@@ -25,8 +32,8 @@ machine that started the trajectory); ``EXPECTED_SPEEDUP`` pins what
 the current code achieves, both in aggregate and — so an FP-only
 regression cannot hide behind SP/SE gains — per strategy.  ``--check``
 fails when the normalized aggregate or any per-strategy number falls
-more than 20% below expectation, or the workload replay ratio drops
-under its floor.
+more than 20% below expectation, or the workload replay ratio or the
+cold FP ratio drops under its floor.
 
 Usage::
 
@@ -42,12 +49,13 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import statistics
 import sys
 import time
 
 from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
-from repro.sim import MachineConfig
-from repro.sim.run import simulate
+from repro.sim import MachineConfig, turbo
+from repro.sim.run import ScheduleSimulation, simulate
 
 STRATEGIES = ("SP", "SE", "RD", "FP")
 
@@ -85,6 +93,12 @@ EXPECTED_STRATEGY_SPEEDUP = {
 #: repeat-heavy workload replay trace (the ISSUE-8 acceptance bar is
 #: 3x on the full trace; smoke traces are shorter and noisier).
 EXPECTED_REPLAY_SPEEDUP = {"full": 3.0, "smoke": 2.0}
+
+#: Minimum classic-loop over cold-turbo time ratio of one FP query.
+#: Interpreting every sibling in full gives about 3x, splicing lock-step
+#: siblings onto their leader's run about 8x; the floor sits between, so
+#: it also trips if the replication silently stops firing.
+EXPECTED_COLD_FP_SPEEDUP = 5.0
 
 #: >20% normalized regression fails the gate.
 REGRESSION_TOLERANCE = 0.20
@@ -197,7 +211,6 @@ def measure_workload_replay(cardinality: int, queries: int) -> dict:
     workload fast-path headline.
     """
     from repro.api import run_workload
-    from repro.sim import turbo
 
     def once(fast_path: bool):
         turbo.clear_cache()
@@ -233,6 +246,46 @@ def measure_workload_replay(cardinality: int, queries: int) -> dict:
         "fast_queries_per_sec": round(completed / fast_seconds, 2),
         "classic_queries_per_sec": round(completed / classic_seconds, 2),
         "replay_speedup": round(classic_seconds / fast_seconds, 2),
+    }
+
+
+def measure_cold_fp(repeats: int) -> dict:
+    """One cold FP query, turbo against the classic loop (medians).
+
+    The same :class:`ScheduleSimulation` is built for every run; only
+    the drain is timed — ``turbo.execute`` on cleared caches, so it
+    interprets rather than replays, and ``sim.clock.run()``.
+    """
+    names = paper_relation_names(10)
+    catalog = Catalog.regular(names, 5_000)
+    schedule = get_strategy("FP").schedule(make_shape("left_linear", names), catalog, 80)
+
+    def drain(fast: bool) -> float:
+        sim = ScheduleSimulation(schedule, catalog, MachineConfig.paper())
+        turbo.clear_cache()
+        gc.disable()
+        t0 = time.perf_counter()
+        if fast:
+            assert turbo.execute(sim), "cold FP point unexpectedly turbo-ineligible"
+        else:
+            sim.clock.run()
+        elapsed = time.perf_counter() - t0
+        gc.enable()
+        return elapsed
+
+    turbo_seconds = statistics.median(drain(True) for _ in range(repeats))
+    stats = turbo.cache_stats()
+    classic_seconds = statistics.median(drain(False) for _ in range(repeats))
+    return {
+        "shape": "left_linear",
+        "processors": 80,
+        "cardinality": 5_000,
+        "repeats": repeats,
+        "turbo_seconds": round(turbo_seconds, 6),
+        "classic_seconds": round(classic_seconds, 6),
+        "cold_speedup": round(classic_seconds / turbo_seconds, 2),
+        "sibling_runs": stats["sibling_runs"],
+        "sibling_splices": stats["sibling_splices"],
     }
 
 
@@ -325,6 +378,7 @@ def main(argv=None) -> int:
             cardinality=1_000 if args.smoke else 2_000,
             queries=8 if args.smoke else 24,
         ),
+        "cold_fp": measure_cold_fp(repeats=3 if args.smoke else 5),
         "sweep": measure_sweep(cardinality, sweep_processors),
     }
     speedup = normalized_speedup(report)
@@ -358,11 +412,18 @@ def main(argv=None) -> int:
             f"workload replay speedup {replay:.2f}x below the "
             f"{replay_floor:.2f}x floor"
         )
+    cold = report["cold_fp"]["cold_speedup"]
+    if cold < EXPECTED_COLD_FP_SPEEDUP:
+        failures.append(
+            f"cold FP speedup {cold:.2f}x over the classic loop below the "
+            f"{EXPECTED_COLD_FP_SPEEDUP:.2f}x floor"
+        )
     report["gate"] = {
         "expected_speedup": expected,
         "floor": round(floor, 2),
         "strategy_floors": strategy_floors,
         "replay_floor": replay_floor,
+        "cold_fp_floor": EXPECTED_COLD_FP_SPEEDUP,
         "failures": failures,
         "passed": not failures,
     }

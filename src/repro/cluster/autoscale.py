@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.numeric import ordered_sum
 from ..workload.engine import WorkloadEngine
 from ..workload.mix import QuerySpec
 from .placement import _FALLBACK_SERVICE, predict_service_time
@@ -158,11 +159,11 @@ class PredictiveAutoscaler(Autoscaler):
     def desired(
         self, engine: "ElasticEngine", now: float
     ) -> Optional[Tuple[int, str]]:
-        backlog = sum(
+        backlog = ordered_sum(
             self._estimate(engine, record.spec)
             for record in engine._queue
         )
-        running = sum(
+        running = ordered_sum(
             self._estimate(engine, record.spec)
             for record, *_ in engine._active.values()
         )

@@ -66,6 +66,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..core.numeric import ordered_sum
 from ..faults import FaultSchedule
 from ..sim.events import SimulationClock
 from ..sim.watchdog import (
@@ -330,7 +331,7 @@ class ClusterQueryRecord:
         return sorted(times)
 
     def wasted_total(self) -> float:
-        return sum(r.wasted_seconds for _, r in self.attempt_records)
+        return ordered_sum(r.wasted_seconds for _, r in self.attempt_records)
 
     def reused_total(self) -> int:
         return sum(r.reused_tasks for _, r in self.attempt_records)
@@ -421,7 +422,7 @@ class ResilientClusterResult(ClusterResult):
         if not values:
             return {"mean": None, "p50": None, "p95": None, "p99": None}
         return {
-            "mean": sum(values) / len(values),
+            "mean": ordered_sum(values) / len(values),
             "p50": percentile(values, 50.0),
             "p95": percentile(values, 95.0),
             "p99": percentile(values, 99.0),

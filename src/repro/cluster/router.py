@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.numeric import ordered_sum
 from ..workload.engine import WorkloadEngine
 from ..workload.metrics import percentile
 from ..workload.mix import QuerySpec
@@ -115,7 +116,7 @@ def _latency_stats(values: Sequence[float]) -> Dict[str, Optional[float]]:
         return {"mean": None, "p50": None, "p95": None, "p99": None}
     values = list(values)
     return {
-        "mean": sum(values) / len(values),
+        "mean": ordered_sum(values) / len(values),
         "p50": percentile(values, 50.0),
         "p95": percentile(values, 95.0),
         "p99": percentile(values, 99.0),

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from .numeric import ordered_sum
+
 
 def proportional_allocation(
     weights: Sequence[float], processors: int, minimum: int = 1
@@ -38,7 +40,7 @@ def proportional_allocation(
             f"{processors} processors cannot give {items} operations "
             f"a minimum of {minimum} each"
         )
-    total = float(sum(weights))
+    total = float(ordered_sum(weights))
     if total == 0.0:
         quotas = [processors / items] * items
     else:
@@ -127,7 +129,7 @@ def discretization_error(weights: Sequence[float], counts: Sequence[int]) -> flo
     """
     if len(weights) != len(counts):
         raise ValueError("weights and counts must have equal length")
-    total_work = float(sum(weights))
+    total_work = float(ordered_sum(weights))
     total_procs = sum(counts)
     if total_work == 0.0 or total_procs == 0:
         return 1.0

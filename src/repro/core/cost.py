@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional
 
+from .numeric import ordered_sum
 from .trees import Join, Leaf, Node, joins_postorder
 
 #: Estimates the result cardinality of a join from operand cardinalities.
@@ -141,7 +142,7 @@ class CostModel:
 
     def total_cost(self, root: Node, catalog: Catalog) -> float:
         """Total cost of the tree: the phase-one objective."""
-        return sum(jc.cost for jc in self.annotate(root, catalog).values())
+        return ordered_sum(jc.cost for jc in self.annotate(root, catalog).values())
 
     def subtree_costs(self, root: Node, catalog: Catalog) -> Dict[Join, float]:
         """Total cost of each join's subtree (SE's allocation weight:

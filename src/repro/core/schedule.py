@@ -248,7 +248,12 @@ class ParallelSchedule:
                 raise ScheduleError(f"ordering cycle through task {idx}")
         for i, a in enumerate(self.tasks):
             for b in self.tasks[i + 1:]:
-                if self.may_overlap(a, b) and set(a.processors) & set(b.processors):
+                # may_overlap(a, b), against the closure computed above.
+                if (
+                    a.index not in before[b.index]
+                    and b.index not in before[a.index]
+                    and set(a.processors) & set(b.processors)
+                ):
                     raise ScheduleError(
                         f"tasks {a.index} and {b.index} may overlap but share "
                         f"processors {sorted(set(a.processors) & set(b.processors))}"

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..cost import JoinCost
+from ..numeric import ordered_sum
 from ..trees import Join, Leaf, Node
 
 
@@ -52,7 +53,7 @@ class Segment:
 
     def work(self, annotation: Dict[Join, JoinCost]) -> float:
         """Total estimated cost of the segment's joins."""
-        return sum(annotation[j].cost for j in self.joins)
+        return ordered_sum(annotation[j].cost for j in self.joins)
 
     def depth(self) -> int:
         """Longest producer chain below this segment (0 = no producers)."""

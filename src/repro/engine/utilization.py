@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..core.numeric import ordered_sum
 from ..sim.metrics import SimulationResult
 
 #: Character shown for an idle processor slot.
@@ -79,6 +80,6 @@ def busy_fractions(result: SimulationResult) -> Dict[int, float]:
     out: Dict[int, float] = {}
     span = result.response_time
     for ident, spans in result.intervals.items():
-        busy = sum(end - start for start, end, _ in spans)
+        busy = ordered_sum(end - start for start, end, _ in spans)
         out[ident] = busy / span if span > 0 else 0.0
     return out

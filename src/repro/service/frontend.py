@@ -129,6 +129,7 @@ class QueryService:
                 "aborted_at": exc.at,
                 "reason": exc.reason,
             }
+        busy_time = result.busy_time()
         return {
             "ok": True,
             "op": "query",
@@ -137,8 +138,8 @@ class QueryService:
             "processors": result.processors,
             "backend": backend,
             "response_time": result.response_time,
-            "busy_time": result.busy_time(),
-            "utilization": result.utilization(),
+            "busy_time": busy_time,
+            "utilization": result.utilization(busy_time),
             "events": result.events,
             "result_tuples": result.result_tuples,
         }

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from ..core.numeric import ordered_sum
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -218,11 +220,13 @@ class Processor:
 
     def busy_time(self) -> float:
         """Total CPU-busy seconds."""
-        return sum(end - start for start, end, _ in self.intervals)
+        return ordered_sum(end - start for start, end, _ in self.intervals)
 
     def busy_time_for(self, label: str) -> float:
         """CPU-busy seconds attributed to ``label``."""
-        return sum(end - start for start, end, lbl in self.intervals if lbl == label)
+        return ordered_sum(
+            end - start for start, end, lbl in self.intervals if lbl == label
+        )
 
     def busy_time_between(self, start: float, end: float) -> float:
         """CPU-busy seconds within the window ``[start, end]``.
@@ -232,6 +236,6 @@ class Processor:
         """
         if end < start:
             raise ValueError("window end before start")
-        return sum(
+        return ordered_sum(
             max(0.0, min(e, end) - max(s, start)) for s, e, _ in self.intervals
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.numeric import ordered_sum
 from .machine import MachineConfig
 
 
@@ -43,7 +44,7 @@ class SimulationResult:
 
     def busy_time(self) -> float:
         """Total CPU-busy seconds over all processors."""
-        return sum(
+        return ordered_sum(
             end - start
             for spans in self.intervals.values()
             for start, end, _ in spans
@@ -58,11 +59,16 @@ class SimulationResult:
                 out[kind] += end - start
         return out
 
-    def utilization(self) -> float:
-        """Mean fraction of the response time processors were busy."""
+    def utilization(self, busy_time: Optional[float] = None) -> float:
+        """Mean fraction of the response time processors were busy.
+
+        A caller that already holds :meth:`busy_time` passes it in, so
+        the intervals are walked once."""
         if self.response_time <= 0 or self.processors == 0:
             return 0.0
-        return self.busy_time() / (self.processors * self.response_time)
+        if busy_time is None:
+            busy_time = self.busy_time()
+        return busy_time / (self.processors * self.response_time)
 
     def startup_time(self) -> float:
         """Serial scheduler initialization span for this plan."""

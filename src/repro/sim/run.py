@@ -33,6 +33,7 @@ from typing import (
 )
 
 from ..core.cost import Catalog, CostModel, JoinCost
+from ..core.numeric import ordered_sum
 from ..core.schedule import JoinTask, ParallelSchedule
 from .events import SimulationClock
 from .machine import MachineConfig, NetworkLink, Processor
@@ -414,7 +415,7 @@ class ScheduleSimulation:
         runtime.done_processes += 1
         if runtime.done_processes < len(runtime.processes):
             return
-        total = sum(p.out_total for p in runtime.processes)
+        total = ordered_sum(p.out_total for p in runtime.processes)
         self._task_complete(runtime, total, len(runtime.processes))
 
     def _complete_skipped(self, runtime: _TaskRuntime) -> None:
@@ -528,7 +529,7 @@ class ScheduleSimulation:
             operation_processes=sum(len(rt.processes) for rt in self.runtimes),
             stream_count=self.schedule.stream_count(),
             events=self.clock.events_dispatched,
-            result_tuples=sum(p.out_total for p in root.processes),
+            result_tuples=ordered_sum(p.out_total for p in root.processes),
         )
 
     def own_intervals(self) -> Dict[int, List[Tuple[float, float, str]]]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.numeric import ordered_sum
+
 
 def zipf_shares(fragments: int, theta: float) -> List[float]:
     """Fragment shares ∝ 1/rank^theta, normalized to sum to 1.
@@ -25,7 +27,7 @@ def zipf_shares(fragments: int, theta: float) -> List[float]:
     if theta < 0:
         raise ValueError("theta must be non-negative")
     raw = [1.0 / (rank ** theta) for rank in range(1, fragments + 1)]
-    total = sum(raw)
+    total = ordered_sum(raw)
     return [value / total for value in raw]
 
 
@@ -37,7 +39,7 @@ def skew_factor(shares: List[float]) -> float:
     """
     if not shares:
         return 1.0
-    mean = sum(shares) / len(shares)
+    mean = ordered_sum(shares) / len(shares)
     if mean == 0:
         return 1.0
     return max(shares) / mean

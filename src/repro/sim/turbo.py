@@ -44,6 +44,38 @@ Correctness notes (why this reproduces the event loop exactly):
   latency or handshake cost — e.g. ``MachineConfig.ideal()``) are
   declared ineligible and stay on the event loop.
 
+**Lock-step siblings** — the paper fragments every operand uniformly
+over a join's processors, so the processes of one task are the same
+process run on the same arrival timeline, staggered only by the
+scheduler's serial start-up.  :func:`_compute` therefore simulates the
+first process of such a task in full (the *leader*, recording a
+:class:`_Lead`) and gives each later sibling only the part of the run in
+which it can differ: the sibling runs the same :func:`_run_process`
+code until its complete dynamic state is ``==`` to one the leader
+recorded at a *rendezvous point*, then takes the leader's tail
+(:func:`_inherit`) and returns.  There are two rendezvous sites.  At
+**start**, before anything is absorbed, the whole state is the start
+time: siblings a barrier releases together (SP, SE, most of RD) meet
+there and are never interpreted at all.  At **idle**, when no chunk is
+selectable and the clock is about to be reset to the next arrival's
+time — the one place a staggered sibling's clock rejoins a shared value
+— the state is ``(ei, b_pend, p_pend, b_done, p_done, out_total,
+cur_e)``: the position in the timeline, what is pending and done on
+each side, the output accumulator, and the end of the open busy
+interval (the next chunk's interval-merge test reads it).  What the
+comparison leaves out is implied by what it holds: end-of-stream counts
+and the closed flags are functions of ``ei``, the open interval's label
+of whether anything was processed; ``busy`` is checked to lie at or
+before the shared arrival instead of being compared, because from there
+on ``max(now, busy)`` is ``now``.  A sibling keeps what is its own —
+``start_time``, base-fragment ``first_arrival`` (functions of its start),
+the start of the interval open at the rendezvous, its delivery order and
+emission ranks — and a sibling that never meets its leader has simply
+been simulated in full: no second code path, no tolerance, no fallback.
+Skewed shares are pairwise distinct, so skewed tasks have no leader and
+run exactly as before.  No outcome changes, so ``STRUCTURE_VERSION``
+does not move.
+
 Turbo v2 adds three layers on top of the v1 interpreter:
 
 * **Drain-structure (profile) cache** — the analytic run is a pure
@@ -76,6 +108,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.numeric import ordered_sum
 from .streams import EPSILON
 
 __all__ = [
@@ -109,6 +142,8 @@ _STATS = {
     "structure_misses": 0,
     "hosted_runs": 0,
     "hosted_rollbacks": 0,
+    "sibling_runs": 0,
+    "sibling_splices": 0,
 }
 
 
@@ -326,6 +361,92 @@ def _eligible_hosted(sim) -> Optional[List[int]]:
     return _common_eligible(sim, hosted=True)
 
 
+class _Lead:
+    """The first process of a lock-step task, as its siblings see it.
+
+    A task whose fragment shares are all equal runs the same process on
+    every processor: same constants, same arrival timeline, staggered
+    only by the scheduler's serial start-up.  The leader is simulated in
+    full and leaves, per rendezvous point, how far its outputs had got;
+    a sibling that reaches one of those points in the same state has the
+    leader's future, to the bit.
+    """
+
+    __slots__ = ("points", "proc", "emissions", "intervals", "ncomp")
+
+    def __init__(self) -> None:
+        #: Dynamic state at a rendezvous -> the leader's ``(emissions,
+        #: intervals, completions)`` counts there.
+        self.points: Dict[tuple, Tuple[int, int, int]] = {}
+        #: The leader, once it has finished; its final state is read
+        #: off it.  The three below are its own outputs, whole.
+        self.proc = None
+        self.emissions: List[tuple] = []
+        self.intervals: List[tuple] = []
+        self.ncomp = 0
+
+
+def _inherit(
+    proc,
+    lead: _Lead,
+    at: Tuple[int, int, int],
+    emissions: List[tuple],
+    rank0: int,
+    porder: int,
+    ncomp: int,
+    open_start: float,
+    open_label: Optional[str],
+) -> Tuple[float, int, int]:
+    """Finish ``proc`` with the part of its leader's run that follows
+    the rendezvous ``at`` — the one definition of what a sibling takes
+    from its leader, whichever site they met at.
+
+    Shared from the rendezvous on: every emission's times and count,
+    every busy interval, the completion count still to come, and the
+    final port, processor and process state.  The sibling's own: its
+    delivery order ``porder``, emission ranks that continue its own
+    count (the consumer's sort breaks same-instant ties on them), and
+    the start of the interval open at the rendezvous — siblings agree on
+    where it ends, not on when it began.
+    """
+    nemit_at, nspan_at, ncomp_at = at
+    shift = len(emissions) - rank0 - nemit_at
+    emissions += [
+        (atime, emit, porder, rank + shift, side, count, eos)
+        for (atime, emit, _, rank, side, count, eos) in lead.emissions[nemit_at:]
+    ]
+    leader = lead.proc
+    spans = lead.intervals[nspan_at:]
+    if spans:
+        # No span means no interval open here and no CPU time after:
+        # neither process ever ran, and this one's processor is as it was.
+        if open_label is not None:
+            # The leader's next span closes the interval open here.
+            _, end, label = spans[0]
+            spans[0] = (open_start, end, label)
+        processor = proc.processor
+        processor.intervals += spans
+        processor.busy_until = leader.processor.busy_until
+    for port, source in ((proc.left, leader.left), (proc.right, leader.right)):
+        port.pending = source.pending
+        port.processed = source.processed
+        port.eos_received = source.eos_received
+    proc.ready = True
+    proc.released = True
+    proc.started = True
+    proc.cpu_busy = False
+    proc.closing = True
+    proc.done = True
+    proc.done_time = leader.done_time
+    proc.out_total = leader.out_total
+    _STATS["sibling_splices"] += 1
+    return (
+        leader.done_time,
+        ncomp + lead.ncomp - ncomp_at,
+        len(emissions) - rank0,
+    )
+
+
 def _run_process(
     proc,
     entries: List[tuple],
@@ -336,6 +457,7 @@ def _run_process(
     latency: float,
     porder: int,
     side: int,
+    lead: Optional[_Lead] = None,
 ) -> Tuple[float, int, int]:
     """Simulate one operation process to completion.
 
@@ -348,10 +470,52 @@ def _run_process(
     not be tracked per apply).  Pipelined output batches are appended
     to ``emissions`` already in consumer timeline form — ``latency``,
     ``porder`` and ``side`` are this process's delivery decoration.
+    ``lead`` is the task's :class:`_Lead` when its processes run in lock
+    step (``None`` otherwise): the first process through records its
+    rendezvous points in it, each later one stops at the first point it
+    shares and takes the rest of its run from there (:func:`_inherit`).
     Returns ``(done_time, completion_events, emission_count)``.
     """
     left = proc.left
     right = proc.right
+    processor = proc.processor
+    busy = processor.busy_until
+    intervals = processor.intervals
+    rank0 = len(emissions)
+
+    # This process's own, however much of its run it inherits: its
+    # start, and with it when a base fragment is first seen.  Base
+    # fragments arrive at process start; streamed sides saw their first
+    # positive batch at the precomputed task-wide time (a zero share
+    # never registers an arrival, matching receive()).
+    proc.start_time = t_start
+    for port, first in ((left, first_pos[0]), (right, first_pos[1])):
+        if port.mode == "base":
+            port.first_arrival = t_start if port.local_total > 0 else None
+        else:
+            port.first_arrival = first if share > 0.0 else None
+
+    # Rendezvous at start: nothing absorbed, nothing run — the whole
+    # dynamic state is the start time.  Siblings a barrier releases
+    # together all meet their leader here.
+    if lead is None:
+        points = None
+        following = False
+        imark = 0
+    else:
+        points = lead.points
+        following = lead.proc is not None
+        imark = len(intervals)
+        if busy <= t_start:
+            if following:
+                at = points.get(t_start)
+                if at is not None:
+                    return _inherit(
+                        proc, lead, at, emissions, rank0, porder, 0, 0.0, None
+                    )
+            else:
+                points[t_start] = (0, 0, 0)
+
     simple = proc.algorithm == "simple"
     if simple:
         bflag = 1 if proc.build is right else 0
@@ -360,7 +524,6 @@ def _run_process(
     # Map left/right onto build/probe scalars (pipelining: b=left, p=right).
     b_port = right if bflag else left
     p_port = left if bflag else right
-    processor = proc.processor
     config = proc.config
     tu = config.tuple_unit
     hs_unit = config.handshake
@@ -409,14 +572,11 @@ def _run_process(
     p_eos = 0
     out_total = 0.0
     ncomp = 0
-    busy = processor.busy_until
-    intervals = processor.intervals
     cur_s = 0.0
     cur_e = 0.0
     cur_l: Optional[str] = None
     ei = 0
     en = len(entries)
-    rank0 = len(emissions)
 
     # Arrivals strictly before the process starts are received without
     # a kick (the process has not started); state updates only.
@@ -788,6 +948,19 @@ def _run_process(
                 "and no arrivals remain; schedule wiring bug"
             )
         ent = entries[ei]
+        # Rendezvous at idle: the clock is about to be reset to an
+        # arrival time every sibling shares, and everything else the
+        # rest of the run reads is in the key.
+        if points is not None and busy <= ent[0]:
+            key = (ei, b_pend, p_pend, b_done, p_done, out_total, cur_e)
+            if following:
+                at = points.get(key)
+                if at is not None:
+                    return _inherit(
+                        proc, lead, at, emissions, rank0, porder, ncomp, cur_s, cur_l
+                    )
+            else:
+                points[key] = (len(emissions) - rank0, len(intervals) - imark, ncomp)
         ei += 1
         next_at = entries[ei][0] if ei < en else _INF
         now = ent[0]
@@ -811,35 +984,25 @@ def _run_process(
         intervals.append((cur_s, cur_e, cur_l))
     processor.busy_until = busy
 
-    # first_arrival: base fragments arrive at process start; streamed
-    # sides saw their first positive batch at the precomputed task-wide
-    # time (a zero share never registers an arrival, matching receive()).
-    if b_base:
-        b_first = t_start if b_total > 0 else None
-    else:
-        b_first = first_pos[bflag] if share > 0.0 else None
-    if p_base:
-        p_first = t_start if p_total > 0 else None
-    else:
-        p_first = first_pos[1 - bflag] if share > 0.0 else None
-
     b_port.pending = b_pend
     b_port.processed = b_done
     b_port.eos_received = b_eos
-    b_port.first_arrival = b_first
     p_port.pending = p_pend
     p_port.processed = p_done
     p_port.eos_received = p_eos
-    p_port.first_arrival = p_first
     proc.ready = True
     proc.released = True
     proc.started = True
     proc.cpu_busy = False
     proc.closing = True
     proc.done = True
-    proc.start_time = t_start
     proc.done_time = done_time
     proc.out_total = out_total
+    if points is not None and not following:
+        lead.proc = proc
+        lead.emissions = emissions[rank0:]
+        lead.intervals = intervals[imark:]
+        lead.ncomp = ncomp
     return done_time, ncomp, len(emissions) - rank0
 
 
@@ -856,15 +1019,13 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
     runtimes = sim.runtimes
     pos_of = {rt.task.index: i for i, rt in enumerate(runtimes)}
 
-    # Global init order: the scheduler claims processes serially.
-    porder_of = {}
-    init_of = {}
+    # Global init order: the scheduler claims processes serially, so
+    # a process's sequence number is its task's offset plus its place.
+    seq_before = []
     seq = 0
-    for ti, rt in enumerate(runtimes):
-        for pi in range(len(rt.processes)):
-            seq += 1
-            porder_of[(ti, pi)] = seq
-            init_of[(ti, pi)] = start_at + seq * startup
+    for rt in runtimes:
+        seq_before.append(seq)
+        seq += len(rt.processes)
 
     nevents = 0
     released: List[Optional[float]] = []
@@ -929,100 +1090,39 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
         procs = rt.processes
         nprocs = len(procs)
 
-        # Sibling replication: a barrier-released task with uniform
-        # shares starts every process at the same instant (the release
-        # dominates all init times), and a processor's prior busy time
-        # never reaches past its task's completion — so every sibling
-        # replays the identical float chain.  Simulate one and copy.
-        shared = False
+        # Equal shares make the task's processes the same process,
+        # staggered: the first leads, the rest follow it (see _Lead).
+        # Skewed shares are pairwise distinct — nothing to share.
+        lead = None
         if nprocs > 1:
             s0 = shares[0]
-            if rel >= init_of[(ti, nprocs - 1)] and all(
-                sh == s0 for sh in shares
-            ):
-                shared = all(p.processor.busy_until <= rel for p in procs)
-        if shared:
-            proc0 = procs[0]
-            processor0 = proc0.processor
-            imark = len(processor0.intervals)
-            porder0 = porder_of[(ti, 0)]
+            if all(sh == s0 for sh in shares):
+                lead = _Lead()
+                _STATS["sibling_runs"] += nprocs - 1
+        porder = seq_before[ti]
+        for pi, proc in enumerate(procs):
+            porder += 1
+            init_t = start_at + porder * startup
+            t_start = init_t if init_t >= rel else rel
             done_t, ncomp, nemit = _run_process(
-                proc0,
+                proc,
                 entries,
-                shares[0],
-                rel,
+                shares[pi],
+                t_start,
                 task_emissions,
                 first_pos,
                 latency,
-                porder0,
+                porder,
                 out_side,
+                lead,
             )
-            data_slice = task_emissions[len(task_emissions) - nemit :]
-            spans = processor0.intervals[imark:]
-            busy_final = processor0.busy_until
-            nevents += 1 + ncomp
+            nevents += 1 + ncomp  # init_ready + hs/chunk completions
             if pipe_flag:
                 task_emissions.append(
-                    (done_t + latency, done_t, porder0, nemit, out_side, 0.0, 1)
+                    (done_t + latency, done_t, porder, nemit, out_side, 0.0, 1)
                 )
-                nevents += nemit + 1
-                transferred += proc0.out_total
-            left0 = proc0.left
-            right0 = proc0.right
-            for pi in range(1, nprocs):
-                proc = procs[pi]
-                porder = porder_of[(ti, pi)]
-                processor = proc.processor
-                processor.intervals.extend(spans)
-                processor.busy_until = busy_final
-                for dst, src in ((proc.left, left0), (proc.right, right0)):
-                    dst.pending = src.pending
-                    dst.processed = src.processed
-                    dst.eos_received = src.eos_received
-                    dst.first_arrival = src.first_arrival
-                proc.ready = True
-                proc.released = True
-                proc.started = True
-                proc.cpu_busy = False
-                proc.closing = True
-                proc.done = True
-                proc.start_time = rel
-                proc.done_time = done_t
-                proc.out_total = proc0.out_total
-                nevents += 1 + ncomp
-                if pipe_flag:
-                    task_emissions += [
-                        (a, e, porder, r, sd, c, z)
-                        for (a, e, _, r, sd, c, z) in data_slice
-                    ]
-                    task_emissions.append(
-                        (done_t + latency, done_t, porder, nemit, out_side, 0.0, 1)
-                    )
-                    nevents += nemit + 1
-                    transferred += proc0.out_total
-        else:
-            for pi, proc in enumerate(procs):
-                init_t = init_of[(ti, pi)]
-                t_start = init_t if init_t >= rel else rel
-                porder = porder_of[(ti, pi)]
-                done_t, ncomp, nemit = _run_process(
-                    proc,
-                    entries,
-                    shares[pi],
-                    t_start,
-                    task_emissions,
-                    first_pos,
-                    latency,
-                    porder,
-                    out_side,
-                )
-                nevents += 1 + ncomp  # init_ready + hs/chunk completions
-                if pipe_flag:
-                    task_emissions.append(
-                        (done_t + latency, done_t, porder, nemit, out_side, 0.0, 1)
-                    )
-                    nevents += nemit + 1  # batch arrivals + EOS arrival
-                    transferred += proc.out_total
+                nevents += nemit + 1  # batch arrivals + EOS arrival
+                transferred += proc.out_total
         rt.done_processes = nprocs
 
         completion = max(p.done_time for p in rt.processes)
@@ -1030,13 +1130,12 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
         if completion > finished_at:
             finished_at = completion
         if rt.output_group is not None and not rt.output_pipelined:
-            total = sum(p.out_total for p in rt.processes)
-            porder = porder_of[(ti, len(rt.processes) - 1)]
+            total = ordered_sum(p.out_total for p in rt.processes)
             task_emissions.append(
                 (
                     completion + latency,
                     completion,
-                    porder,
+                    porder,  # the task's last process
                     _STORE_RANK,
                     out_side,
                     total,

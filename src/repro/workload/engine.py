@@ -37,6 +37,7 @@ from typing import (
 
 from ..core.cost import CostModel
 from ..core.memory import MemoryModel, peak_memory_per_processor
+from ..core.numeric import ordered_sum
 from ..core.strategies import get_strategy
 from ..model.analytic import forecast_epoch_end
 from ..sim import turbo
@@ -133,7 +134,7 @@ class SharedMachine(MachineView):
         self._free.update(ids)
 
     def busy_seconds(self) -> float:
-        return sum(p.busy_time() for p in self.processors.values())
+        return ordered_sum(p.busy_time() for p in self.processors.values())
 
 
 class WorkloadEngine:
@@ -723,7 +724,7 @@ class WorkloadEngine:
         )
         memory_bytes = 0.0
         if self.memory_budget_bytes is not None:
-            memory_bytes = sum(
+            memory_bytes = ordered_sum(
                 peak_memory_per_processor(
                     schedule, catalog, self.memory_model, self.cost_model
                 ).values()
@@ -950,8 +951,8 @@ class WorkloadEngine:
         _, sim, allocation, memory_bytes = self._active.pop(record.index)
         sim.abort(reason)
         # The CPU the attempt burnt, summed per processor.
-        record.wasted_seconds += sum(
-            sum(end - start for start, end, _label in spans)
+        record.wasted_seconds += ordered_sum(
+            ordered_sum(end - start for start, end, _label in spans)
             for spans in sim.own_intervals().values()
         )
         if allocation.exclusive:

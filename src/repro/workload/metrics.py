@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.numeric import ordered_sum
 from ..sim.metrics import SimulationResult
 from .mix import QuerySpec
 
@@ -190,7 +191,7 @@ class WorkloadResult:
         if not values:
             return {"mean": None, "p50": None, "p95": None, "p99": None}
         return {
-            "mean": sum(values) / len(values),
+            "mean": ordered_sum(values) / len(values),
             "p50": percentile(values, 50.0),
             "p95": percentile(values, 95.0),
             "p99": percentile(values, 99.0),
@@ -210,11 +211,11 @@ class WorkloadResult:
 
     def mean_queue_delay(self) -> float:
         values = self.queue_delays()
-        return sum(values) / len(values) if values else 0.0
+        return ordered_sum(values) / len(values) if values else 0.0
 
     def mean_service_time(self) -> float:
         values = self.service_times()
-        return sum(values) / len(values) if values else 0.0
+        return ordered_sum(values) / len(values) if values else 0.0
 
     # -- resilience -------------------------------------------------------
 
@@ -228,7 +229,7 @@ class WorkloadResult:
 
     def wasted_seconds(self) -> float:
         """CPU-busy seconds burnt by attempts that were later aborted."""
-        return sum(r.wasted_seconds for r in self.records)
+        return ordered_sum(r.wasted_seconds for r in self.records)
 
     def wasted_fraction(self) -> float:
         """Share of all CPU-busy seconds that produced no result."""
@@ -268,7 +269,7 @@ class WorkloadResult:
         ]
         if not values:
             return None
-        return sum(values) / len(values)
+        return ordered_sum(values) / len(values)
 
     def resilience_summary(self) -> Dict[str, Optional[float]]:
         """The fault-tolerance headline numbers in one dict."""

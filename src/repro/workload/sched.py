@@ -62,6 +62,8 @@ from typing import (
     Union,
 )
 
+from ..core.numeric import ordered_sum
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import WorkloadEngine
     from .metrics import QueryRecord, WorkloadResult
@@ -598,7 +600,7 @@ def fairness_points(
 ) -> List[FairnessPoint]:
     """Reduce one multi-tenant run to per-tenant fairness points."""
     summary = result.tenant_summary()
-    total_goodput = sum(cell["goodput"] for cell in summary.values())
+    total_goodput = ordered_sum(cell["goodput"] for cell in summary.values())
     points = []
     for tenant in sorted(summary):
         cell = summary[tenant]

@@ -174,6 +174,25 @@ class TestValidation:
         with pytest.raises(ScheduleError, match="itself"):
             ParallelSchedule("X", tree, 2, tasks).validate()
 
+    @pytest.mark.parametrize("strategy", ["SP", "SE", "RD", "FP"])
+    def test_validate_computes_the_ordering_closure_once(self, strategy, monkeypatch):
+        """All 36 task pairs of the paper's query are tested against one
+        closure, not one recomputed per pair."""
+        names = paper_relation_names(10)
+        schedule = get_strategy(strategy).schedule(
+            make_shape("wide_bushy", names), Catalog.regular(names, 5000), 50
+        )
+        entered = []
+        closure = ParallelSchedule.happens_before
+
+        def counted(self):
+            entered.append(self)
+            return closure(self)
+
+        monkeypatch.setattr(ParallelSchedule, "happens_before", counted)
+        schedule.validate()
+        assert entered == [schedule]
+
 
 class TestMetrics:
     def test_operation_processes(self):

@@ -13,9 +13,17 @@ plus extra FP-heavy points (deep pipelines, wide sibling fan-out) where
 the turbo-v2 drain-structure work concentrates.  Caches are cleared per
 point so this file always exercises the cold compute path;
 ``test_turbo_cache.py`` owns the warm-replay guarantees.
+
+The paper-scale points at the end run the paper's own query (ten
+relations, 5K and 40K tuples, 50 and 80 processors), where most of an
+FP task's processes inherit their run from the task's first process
+(lock-step siblings); ``test_turbo_siblings.py`` checks that mechanism
+sibling by sibling, these hold its sum to the classic loop.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Catalog, CostModel, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig
@@ -130,3 +138,60 @@ class TestFPHeavyShapes:
         warm = fast("right_linear", "FP", 40, 0.0, relations=10)
         assert turbo.cache_stats()["profile_hits"] == 1
         assert_identical(reference, warm)
+
+
+class TestLockStepSiblings:
+    """Uniform shares: one process per task is simulated in full, the
+    others splice its tail.  Each point asserts that they did, so it
+    cannot pass by not exercising the mechanism."""
+
+    #: Every shape under FP, plus RD on the right-linear tree — one
+    #: pipelined segment of staggered simple hash-joins, which meet
+    #: their leader while waiting for the build side to close.
+    PAPER_SCALE = [(shape, "FP") for shape in SHAPES] + [("right_linear", "RD")]
+
+    @pytest.mark.parametrize("processors,cardinality", ((80, 5000), (50, 40000)))
+    @pytest.mark.parametrize("shape,strategy", PAPER_SCALE)
+    def test_paper_scale_point_identical(self, shape, strategy, processors, cardinality):
+        point = dict(cardinality=cardinality, relations=10)
+        turbo.clear_cache()
+        assert_identical(
+            classic(shape, strategy, processors, 0.0, **point),
+            fast(shape, strategy, processors, 0.0, **point),
+        )
+        assert turbo.cache_stats()["sibling_splices"] > 0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("shape,processors", (("wide_bushy", 40), ("left_linear", 20)))
+    def test_skewed_shares_stand_down(self, shape, processors, strategy):
+        """Zipf shares are pairwise distinct: no task has a leader, and
+        every process is interpreted as before."""
+        point = dict(cardinality=400, relations=10)
+        turbo.clear_cache()
+        assert_identical(
+            classic(shape, strategy, processors, 0.7, **point),
+            fast(shape, strategy, processors, 0.7, **point),
+        )
+        stats = turbo.cache_stats()
+        assert stats["sibling_runs"] == 0 and stats["sibling_splices"] == 0
+
+    @given(
+        shape=st.sampled_from(SHAPES),
+        strategy=st.sampled_from(STRATEGIES),
+        processors=st.integers(5, 48),
+        cardinality=st.integers(50, 1500),
+        skew=st.sampled_from((0.0, 0.4)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_property_identical_with_and_without_siblings(
+        self, shape, strategy, processors, cardinality, skew
+    ):
+        turbo.clear_cache()
+        assert_identical(
+            classic(shape, strategy, processors, skew, cardinality=cardinality),
+            fast(shape, strategy, processors, skew, cardinality=cardinality),
+        )
+        stats = turbo.cache_stats()
+        assert stats["sibling_splices"] <= stats["sibling_runs"]
+        if skew:
+            assert stats["sibling_runs"] == 0

@@ -61,6 +61,11 @@ class TestPerf:
         in_flight = re.search(r"open loop with up to (\d+) in flight", out)
         assert in_flight and int(in_flight.group(1)) > 1
         assert "'hosted_runs': 8" in out  # the closed loop still fast-paths
+        runs, splices = (
+            int(re.search(rf"'sibling_{name}': (\d+)", out).group(1))
+            for name in ("runs", "splices")
+        )
+        assert 0 < splices <= runs  # attempts printed beside useful outcomes
 
 
 class TestPlan:

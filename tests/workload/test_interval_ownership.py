@@ -9,11 +9,17 @@ deadline, cancelled hedge loser), must equal what the scan would have
 produced at that instant — exactly, floats included.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
+from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
 from repro.faults import CrashFault, FaultSchedule
 from repro.sim import MachineConfig, turbo
+from repro.sim.events import SimulationClock
+from repro.sim.machine import Processor
+from repro.sim.run import ScheduleSimulation
 from repro.workload import QuerySpec, WorkloadEngine
 from repro.workload.policies import make_policy
 
@@ -155,3 +161,96 @@ def test_cluster_hedge_loser_refunds_match_the_prefix_scan(oracle, hedge):
         # (unless the duplicate was still queued): its CPU is refunded.
         assert result.resilience["hedges"] >= 1
         assert oracle["aborted"] >= 1 and oracle["refunded"] > 0.0
+
+
+# -- lock-step siblings inside a hosted epoch -----------------------------
+
+
+def hosted_fp(finished):
+    """A freshly built hosted FP query (three processes per join, so
+    every task has siblings that splice their leader's run) on a pool
+    that has served before: each processor carries an older query's
+    span and its own idle-since time."""
+    names = paper_relation_names(10)
+    catalog = Catalog.regular(names, 1000)
+    schedule = get_strategy("FP").schedule(make_shape("left_linear", names), catalog, 27)
+    clock = SimulationClock()
+    clock.now = 5.0
+    pool = {}
+    for ident in range(27):
+        pool[ident] = processor = Processor(ident)
+        processor.intervals.append((0.5, 1.0 + ident / 100.0, "Q0:J0"))
+        processor.busy_until = 1.0 + ident / 100.0
+    return ScheduleSimulation(
+        schedule, catalog, MachineConfig.paper(), clock=clock, processor_pool=pool,
+        start_at=5.0, label_prefix="Q7:", on_complete=finished.append,
+    )
+
+
+def as_built(sim):
+    """Every piece of state ``_compute`` writes and ``_rollback`` must
+    restore, plus what ``execute_hosted`` commits."""
+    return {
+        "processors": [
+            (ident, list(processor.intervals), processor.busy_until)
+            for ident, processor in sorted(sim.processors.items())
+        ],
+        "spans": {ident: list(spans) for ident, spans in sim._spans.items()},
+        "tasks": [
+            (rt.released_at, rt.completion, rt.done_processes, rt.remaining_deps)
+            for rt in sim.runtimes
+        ],
+        "processes": [
+            (
+                p.ready, p.released, p.started, p.cpu_busy, p.closing, p.done,
+                p.start_time, p.done_time, p.out_total,
+            )
+            for rt in sim.runtimes for p in rt.processes
+        ],
+        "ports": [
+            (port.pending, port.processed, port.eos_received, port.first_arrival)
+            for rt in sim.runtimes for p in rt.processes for port in (p.left, p.right)
+        ],
+        "network": sim.network.transferred,
+        "finished_at": sim.finished_at,
+    }
+
+
+def test_hosted_epoch_with_spliced_siblings_commits_the_classic_intervals():
+    finished = []
+    reference = hosted_fp(finished)
+    reference.clock.run()
+    turbo.clear_cache()
+    sim = hosted_fp(finished)
+    assert turbo.execute_hosted(sim, float("inf")) == reference.finished_at
+    assert turbo.cache_stats()["sibling_splices"] > 0
+    sim.clock.run()
+    assert finished == [reference, sim]
+    assert sim.own_intervals() == reference.own_intervals()
+    # (An epoch leaves the shared clock's dispatch count to the engine.)
+    assert replace(sim.result(), events=0) == replace(reference.result(), events=0)
+    for ident, processor in sim.processors.items():
+        twin = reference.processors[ident]
+        assert processor.intervals == twin.intervals
+        assert processor.busy_until == twin.busy_until
+
+
+def test_rollback_after_splices_leaves_the_simulation_as_built():
+    finished = []
+    turbo.clear_cache()
+    sim = hosted_fp(finished)
+    built = as_built(sim)
+    # A foreign event due an instant after the start: the epoch is
+    # computed — siblings spliced and all — and must then be undone.
+    assert turbo.execute_hosted(sim, 5.0 + 1e-9) is None
+    stats = turbo.cache_stats()
+    assert stats["hosted_rollbacks"] == 1 and stats["sibling_splices"] > 0
+    assert as_built(sim) == built
+    # The build events are still armed: the classic loop takes over and
+    # lands where a run turbo never looked at lands.
+    sim.clock.run()
+    reference = hosted_fp(finished)
+    reference.clock.run()
+    assert finished == [sim, reference]
+    assert sim.result() == reference.result()
+    assert sim.own_intervals() == reference.own_intervals()
