@@ -61,7 +61,6 @@ chaos harness (:mod:`repro.cluster.chaos`) asserts.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -74,6 +73,7 @@ from ..sim.watchdog import (
     Watchdog,
     WatchdogError,
 )
+from ..workload.lifecycle import deadline_rng, resolve_deadline
 from ..workload.metrics import percentile
 from ..workload.mix import QuerySpec
 from .placement import (
@@ -489,16 +489,14 @@ class ResilientCluster:
 
         options = dict(engine_options)
         self._machine_size = options["machine_size"]
-        self._config = options.get("config")
-        self._cost_model = options.get("cost_model")
-        self.tenants = dict(options.get("tenants") or {})
+        self._config = options["config"]
+        self._cost_model = options["cost_model"]
+        self.tenants = dict(options["tenants"] or {})
         # The cluster resolves deadlines once, at admission, so every
         # attempt of a query races the *same* absolute deadline; the
         # member engines must not re-draw or re-apply defaults.
-        self._deadline = options.get("deadline")
-        self._deadline_rng = random.Random(
-            1_000_003 * options.get("deadline_seed", 0) + 17
-        )
+        self._deadline = options["deadline"]
+        self._deadline_rng = deadline_rng(options["deadline_seed"])
         options["deadline"] = None
         options["tenants"] = {
             name: replace(spec, deadline=None)
@@ -515,7 +513,7 @@ class ResilientCluster:
         # Engine-level (processor) fault schedules can ride along under
         # the cluster-level shard faults — a shard can lose processor 3
         # *and* later crash entirely.
-        engine_faults = resolve_shard_faults(options.get("faults"), shards)
+        engine_faults = resolve_shard_faults(options["faults"], shards)
         self.engines = []
         for shard in range(shards):
             engine = _build_engine(
@@ -662,25 +660,13 @@ class ResilientCluster:
             index=index,
             spec=spec,
             arrival=time,
-            deadline=self._resolve_deadline(spec),
+            deadline=resolve_deadline(
+                spec, self.tenants, self._deadline, self._deadline_rng
+            ),
             tenant=spec.tenant,
         )
         self.records.append(logical)
         self.clock.at(time, self._admit_arrival, logical)
-
-    def _resolve_deadline(self, spec: QuerySpec) -> Optional[float]:
-        if spec.deadline is not None:
-            return spec.deadline
-        if spec.tenant is not None:
-            tenant = self.tenants.get(spec.tenant)
-            if tenant is not None and tenant.deadline is not None:
-                return tenant.deadline
-        if self._deadline is None:
-            return None
-        if isinstance(self._deadline, (int, float)):
-            return float(self._deadline)
-        low, high = self._deadline
-        return self._deadline_rng.uniform(low, high)
 
     def _admit_arrival(self, logical: ClusterQueryRecord) -> None:
         if self.throttle is not None and not self._take_token(logical):
@@ -1077,27 +1063,10 @@ class ResilientCluster:
             ) from exc
 
     def _collect(self) -> ResilientClusterResult:
-        reports = []
-        for shard, engine in enumerate(self.engines):
-            result = engine.collect_result()
-            reports.append(
-                ShardReport(
-                    shard=shard,
-                    rows=result.rows(),
-                    machine_size=engine.machine.size,
-                    policy=result.policy,
-                    makespan=result.makespan,
-                    busy_seconds=result.busy_seconds,
-                    peak_in_flight=result.peak_in_flight,
-                    peak_queued=result.peak_queued,
-                    scheduler=result.scheduler,
-                    scheduling_decisions=result.scheduling_decisions,
-                    fast_path_queries=result.fast_path_queries,
-                    capacity_base=engine.machine.size,
-                    capacity_max=engine.machine.size,
-                    capacity_final=engine.machine.size,
-                )
-            )
+        reports = [
+            ShardReport.of(shard, engine, engine.collect_result())
+            for shard, engine in enumerate(self.engines)
+        ]
         per_shard = []
         for shard, stats in enumerate(self._shard_stats):
             per_shard.append(
@@ -1166,9 +1135,7 @@ def run_resilient_cluster(
         breaker=breaker,
         throttle=throttle,
         failover=failover,
-        watchdog_limit=engine_options.get(
-            "watchdog_limit", DEFAULT_MAX_EVENTS_PER_INSTANT
-        ),
+        watchdog_limit=engine_options["watchdog_limit"],
     )
     return cluster.run(open_arrivals)
 

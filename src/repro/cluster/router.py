@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.numeric import ordered_sum
 from ..workload.engine import WorkloadEngine
-from ..workload.metrics import percentile
+from ..workload.metrics import WorkloadResult, percentile
 from ..workload.mix import QuerySpec
 from .autoscale import DEFAULT_COOLDOWN, ElasticEngine, make_autoscaler
 from .placement import make_placement
@@ -62,6 +62,39 @@ class ShardReport:
     capacity_max: int
     capacity_final: int
     scale_events: List[Dict] = field(default_factory=list)
+
+    @classmethod
+    def of(
+        cls, shard: int, engine: WorkloadEngine, result: WorkloadResult
+    ) -> "ShardReport":
+        """The report of ``engine``'s finished run, ``result`` being its
+        :class:`~repro.workload.WorkloadResult`.  An elastic engine
+        reports its capacity trajectory; a fixed one, its size."""
+        if isinstance(engine, ElasticEngine):
+            base = engine.base_capacity
+            capacity_max = engine.scale_max
+            capacity_final = engine.capacity
+            events = [e.to_payload() for e in engine.scale_events]
+        else:
+            base = capacity_max = capacity_final = engine.machine.size
+            events = []
+        return cls(
+            shard=shard,
+            rows=result.rows(),
+            machine_size=base,
+            policy=result.policy,
+            makespan=result.makespan,
+            busy_seconds=result.busy_seconds,
+            peak_in_flight=result.peak_in_flight,
+            peak_queued=result.peak_queued,
+            scheduler=result.scheduler,
+            scheduling_decisions=result.scheduling_decisions,
+            fast_path_queries=result.fast_path_queries,
+            capacity_base=base,
+            capacity_max=capacity_max,
+            capacity_final=capacity_final,
+            scale_events=events,
+        )
 
     @property
     def scale_ups(self) -> int:
@@ -289,31 +322,7 @@ def run_shard(payload: Dict) -> ShardReport:
         )
     else:
         result = engine.run_open(payload["arrivals"])
-    if isinstance(engine, ElasticEngine):
-        capacity = (engine.base_capacity, engine.scale_max, engine.capacity)
-        events = [e.to_payload() for e in engine.scale_events]
-        base = engine.base_capacity
-    else:
-        base = engine.machine.size
-        capacity = (base, base, base)
-        events = []
-    return ShardReport(
-        shard=payload["shard"],
-        rows=result.rows(),
-        machine_size=base,
-        policy=result.policy,
-        makespan=result.makespan,
-        busy_seconds=result.busy_seconds,
-        peak_in_flight=result.peak_in_flight,
-        peak_queued=result.peak_queued,
-        scheduler=result.scheduler,
-        scheduling_decisions=result.scheduling_decisions,
-        fast_path_queries=result.fast_path_queries,
-        capacity_base=capacity[0],
-        capacity_max=capacity[1],
-        capacity_final=capacity[2],
-        scale_events=events,
-    )
+    return ShardReport.of(payload["shard"], engine, result)
 
 
 # -- the cluster run ------------------------------------------------------
@@ -397,16 +406,14 @@ def run_cluster_shards(
             "scale_min": scale_min,
             "scale_cooldown": scale_cooldown,
         }
-        if engine_options.get("share") is None:
+        if engine_options["share"] is None:
             # An exclusive policy with no explicit share asks for the
             # whole machine — which at scale_max would never fit the
             # base capacity.  Pin the share to the base so elasticity
             # changes *concurrency*, not per-query feasibility.
             engine_options = {**engine_options, "share": base}
 
-    shard_faults = resolve_shard_faults(
-        engine_options.get("faults"), shards
-    )
+    shard_faults = resolve_shard_faults(engine_options["faults"], shards)
     migrations = 0
     payloads: List[Dict] = []
     if open_arrivals is not None:

@@ -37,16 +37,15 @@ fault-free, deadline-free runs are normally executed by the analytic
 engine in :mod:`repro.sim.turbo`, which must reproduce every
 observable of this module bit for bit (chunk boundaries, batch
 emission times, tie-breaks between arrivals and completions, interval
-coalescing).  Any behavioural change here therefore needs a matching
-change there — the golden-identity and turbo-equivalence tests pin
-the pairing.  Turbo additionally *caches* replayable timing profiles
-keyed on the inputs these state machines read (algorithm, work scale,
-port modes and coefficients, chunk policy), so any *behavioural* change
-to the chunking or emission policy here must also bump
-:data:`repro.sim.turbo.STRUCTURE_VERSION` — otherwise a stale cached
-profile from before the change could replay the old semantics.  (A
+coalescing).  Any behavioural change to chunking or emission here
+therefore needs the matching change in turbo's chunk step, and the
+turbo-equivalence grid (``tests/sim/test_turbo_equiv.py``, turbo ≡
+this module, ``==`` on every float) and the golden-identity tests
+(``tests/sim/test_golden_identity.py``) are the rule that guards the
+pairing: both must stay green.  Turbo's profile cache needs no extra
+step — it lives in one process, so changed code starts it empty.  (A
 restructuring that keeps every float expression's operand order, every
-tie-break and every event — like the fusion above — does not.)
+tie-break and every event — like the fusion above — changes neither.)
 """
 
 from __future__ import annotations

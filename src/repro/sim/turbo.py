@@ -43,6 +43,18 @@ Correctness notes (why this reproduces the event loop exactly):
   arrivals.  Configurations where ties are pervasive (zero startup,
   latency or handshake cost — e.g. ``MachineConfig.ideal()``) are
   declared ineligible and stay on the event loop.
+* **One chunk step** — :func:`_run_process` is the classic process's
+  kick/completion cycle as a single loop with one site per duty: a
+  completion (absorb the arrivals the heap dispatches before it, then
+  credit the chunk), the algorithm's chunk selection, and, when no
+  chunk is selectable, either the finish (every arrival in and both
+  sides closed: pay a materialized output's send-setup handshakes) or
+  a wait for the next arrival.  Nothing else needs a loop of its own.
+  Draining needs none: once chunks run back to back, ``max(now, busy)``
+  is ``now`` and the interval merge holds, so the general step already
+  performs a drain's float operations in a drain's order.  Arrivals
+  before the start need none: a process with a streamed input pays one
+  startup handshake per producer, and that completion absorbs them.
 
 **Lock-step siblings** — the paper fragments every operand uniformly
 over a join's processors, so the processes of one task are the same
@@ -73,8 +85,7 @@ the start of the interval open at the rendezvous, its delivery order and
 emission ranks — and a sibling that never meets its leader has simply
 been simulated in full: no second code path, no tolerance, no fallback.
 Skewed shares are pairwise distinct, so skewed tasks have no leader and
-run exactly as before.  No outcome changes, so ``STRUCTURE_VERSION``
-does not move.
+run exactly as before.
 
 Turbo v2 adds three layers on top of the v1 interpreter:
 
@@ -88,7 +99,10 @@ Turbo v2 adds three layers on top of the v1 interpreter:
   logical event count, bytes transferred) instead of re-interpreting
   the chunk interleaving.  Equal key ⇒ equal floats by construction,
   so replay is bit-identical — this is what closes the FP gap, whose
-  trickle interleaving dominates interpreter time.
+  trickle interleaving dominates interpreter time.  The cache lives in
+  this process only, so a changed chunk policy (a code change) always
+  starts from an empty one; code that alters the process model at
+  runtime calls :func:`clear_cache`.
 * **Cross-query structure memo** — the topological order and the
   disjointness/graph validation of :func:`_topo_order` depend only on
   the schedule's structure, not on costs or times; workloads rerunning
@@ -116,16 +130,9 @@ __all__ = [
     "execute_hosted",
     "clear_cache",
     "cache_stats",
-    "STRUCTURE_VERSION",
 ]
 
 _INF = float("inf")
-
-#: Bump when the chunk-selection policy in :mod:`repro.sim.process`
-#: (or this module's replication of it) changes behaviourally: cached
-#: drain structures record the *outcome* of that policy, so a stale
-#: profile from an older policy must never be replayed.
-STRUCTURE_VERSION = 2
 
 #: Bounded profile cache: full input signature -> recorded final state.
 _PROFILE_CACHE: Dict[tuple, tuple] = {}
@@ -303,8 +310,9 @@ def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
         or config.tuple_unit <= 0
     ):
         return None
-    # Likewise a free operand (coefficient <= 0): the drain loops below
-    # rely on every chunk taking positive time.
+    # Likewise a free operand (coefficient <= 0), which makes chunks
+    # take zero time.  A safety guard: whether the chunk loop below is
+    # exact for zero-duration chunks has never been verified.
     cost_model = sim.cost_model
     if cost_model.base_coeff <= 0 or cost_model.intermediate_coeff <= 0:
         return None
@@ -386,6 +394,20 @@ class _Lead:
         self.ncomp = 0
 
 
+def _finish(proc, done_time: float, out_total: float) -> None:
+    """Leave ``proc`` in the lifecycle state the classic loop leaves a
+    finished process in — whichever analytic path finished it (run,
+    inherited from a leader, or replayed from a profile)."""
+    proc.ready = True
+    proc.released = True
+    proc.started = True
+    proc.cpu_busy = False
+    proc.closing = True
+    proc.done = True
+    proc.done_time = done_time
+    proc.out_total = out_total
+
+
 def _inherit(
     proc,
     lead: _Lead,
@@ -431,14 +453,7 @@ def _inherit(
         port.pending = source.pending
         port.processed = source.processed
         port.eos_received = source.eos_received
-    proc.ready = True
-    proc.released = True
-    proc.started = True
-    proc.cpu_busy = False
-    proc.closing = True
-    proc.done = True
-    proc.done_time = leader.done_time
-    proc.out_total = leader.out_total
+    _finish(proc, leader.done_time, leader.out_total)
     _STATS["sibling_splices"] += 1
     return (
         leader.done_time,
@@ -564,89 +579,52 @@ def _run_process(
         out_ok = False
 
     EPS = EPSILON
-    b_pend = 0.0
-    p_pend = 0.0
     b_done = 0.0  # "processed" accumulators
     p_done = 0.0
     b_eos = 0
     p_eos = 0
     out_total = 0.0
     ncomp = 0
-    cur_s = 0.0
-    cur_e = 0.0
-    cur_l: Optional[str] = None
     ei = 0
     en = len(entries)
-
-    # Arrivals strictly before the process starts are received without
-    # a kick (the process has not started); state updates only.
-    while ei < en:
-        ent = entries[ei]
-        if ent[0] >= t_start:
-            break
-        c = ent[5] * share
-        if ent[4] == bflag:
-            b_pend += c
-            k = ent[6]
-            if k:
-                b_eos += k
-                if b_eos >= b_exp:
-                    b_closed = True
-        else:
-            p_pend += c
-            k = ent[6]
-            if k:
-                p_eos += k
-                if p_eos >= p_exp:
-                    p_closed = True
-        ei += 1
-
-    # Start: inject base fragments, then pay startup handshakes.
-    now = t_start
-    if b_base and b_total > 0:
-        b_pend += b_total
-    if p_base and p_total > 0:
-        p_pend += p_total
-
-    h = proc._startup_handshakes() * hs_unit
-    free_end = 0.0
-    push_t = 0.0
+    next_at = entries[0][0] if en else _INF
+    # The chunk in flight.  The start handshake completes as an empty
+    # one: adding +0.0 leaves an accumulator's bits as they are.
     chunk = 0.0
     out = 0.0
-    d = 0.0
     on_build = False
-    in_chunk = False
-    done_time = 0.0
-    next_at = entries[ei][0] if ei < en else _INF
-    if h > 0.0:
+
+    # Start: inject base fragments (into empty ports, so the pending
+    # count is the fragment itself), then pay the startup handshakes.
+    # Arrivals before the start need no step of their own: a streamed
+    # side costs one handshake per producer, so h > 0 whenever there
+    # are entries, and the handshake's completion absorbs every entry
+    # due before it in heap order.  Entries only ever reach streamed
+    # sides, so they commute with the injection.
+    now = t_start
+    b_pend = b_total if b_base and b_total > 0 else 0.0
+    p_pend = p_total if p_base and p_total > 0 else 0.0
+    h = proc._startup_handshakes() * hs_unit
+    cur_l: Optional[str] = None  # the open busy interval
+    cur_s = cur_e = 0.0
+    completing = h > 0.0
+    if completing:
         s = now if now >= busy else busy
-        e_t = s + h
-        busy = e_t
-        if cur_l == hs_label and -1e-12 < s - cur_e < 1e-12:
-            cur_e = e_t
-        else:
-            if cur_l is not None:
-                intervals.append((cur_s, cur_e, cur_l))
-            cur_s = s
-            cur_e = e_t
-            cur_l = hs_label
-        free_end = e_t
-        push_t = now
-        in_chunk = False
-        completing = True
-    else:
-        completing = False
+        busy = cur_e = s + h
+        cur_s = s
+        cur_l = hs_label
 
     while True:
         if completing:
-            # Absorb arrivals the heap would dispatch before this
-            # completion: strictly earlier, or same-time but pushed
-            # earlier (emit precedes the chunk/handshake start).
-            if next_at <= free_end:
+            # The CPU occupation started at ``now`` completes at
+            # ``busy``.  Absorb the arrivals the heap dispatches before
+            # it: strictly earlier, or same-time but pushed earlier
+            # (emitted before the occupation started).
+            if next_at <= busy:
                 while ei < en:
                     ent = entries[ei]
                     ea = ent[0]
-                    if ea > free_end or (ea == free_end and ent[1] >= push_t):
+                    if ea > busy or (ea == busy and ent[1] >= now):
                         break
                     c = ent[5] * share
                     if ent[4] == bflag:
@@ -665,210 +643,19 @@ def _run_process(
                                 p_closed = True
                     ei += 1
                 next_at = entries[ei][0] if ei < en else _INF
-            now = free_end
+            now = busy
             ncomp += 1
-            if in_chunk:
-                if on_build:
-                    b_done += chunk
-                else:
-                    p_done += chunk
-                if out > 0.0:
-                    out_total += out
-                    if pipe_out:
-                        emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
-            completing = False
-
-        if ei >= en and b_closed and p_closed:
-            # ---- pure drain: no arrival can interfere any more ----
-            # After the first chunk of a drain run the processor chain
-            # is contiguous (s == busy == now == cur_e), so subsequent
-            # chunks reduce to `now += duration` with the busy/interval
-            # state written back once — the same float operations in
-            # the same order, minus the per-chunk bookkeeping.  The
-            # contiguity argument needs every duration > 0, which
-            # _common_eligible guarantees (positive coefficients).
-            if simple:
-                if b_pend > EPS:
-                    chunk = b_pend if b_pend <= b_cap else b_cap
-                    b_pend -= chunk
-                    if b_pend < EPS:
-                        b_pend = 0.0
-                    d = (chunk * b_coeff + 0.0 * rc) * tu * ws
-                    s = now if now >= busy else busy
-                    e_t = s + d
-                    if cur_l == name and -1e-12 < s - cur_e < 1e-12:
-                        pass
-                    else:
-                        if cur_l is not None:
-                            intervals.append((cur_s, cur_e, cur_l))
-                        cur_s = s
-                        cur_l = name
-                    now = e_t
-                    ncomp += 1
-                    b_done += chunk
-                    while b_pend > EPS:
-                        chunk = b_pend if b_pend <= b_cap else b_cap
-                        b_pend -= chunk
-                        if b_pend < EPS:
-                            b_pend = 0.0
-                        now = now + (chunk * b_coeff + 0.0 * rc) * tu * ws
-                        ncomp += 1
-                        b_done += chunk
-                    busy = now
-                    cur_e = now
-                # The probe takes any positive remainder, like the
-                # chunk hook below (its loop stops at an empty chunk).
-                if p_pend > 0.0:
-                    chunk = p_pend if p_pend <= p_cap else p_cap
-                    p_pend -= chunk
-                    if p_pend < EPS:
-                        p_pend = 0.0
-                    out = chunk * rl / p_total if out_ok else 0.0
-                    d = (chunk * p_coeff + out * rc) * tu * ws
-                    s = now if now >= busy else busy
-                    e_t = s + d
-                    if cur_l == name and -1e-12 < s - cur_e < 1e-12:
-                        pass
-                    else:
-                        if cur_l is not None:
-                            intervals.append((cur_s, cur_e, cur_l))
-                        cur_s = s
-                        cur_l = name
-                    now = e_t
-                    ncomp += 1
-                    p_done += chunk
-                    if out > 0.0:
-                        out_total += out
-                        if pipe_out:
-                            emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
-                    while True:
-                        chunk = p_pend if p_pend <= p_cap else p_cap
-                        p_pend -= chunk
-                        if p_pend < EPS:
-                            p_pend = 0.0
-                        if chunk <= 0.0:
-                            break
-                        out = chunk * rl / p_total if out_ok else 0.0
-                        now = now + (chunk * p_coeff + out * rc) * tu * ws
-                        ncomp += 1
-                        p_done += chunk
-                        if out > 0.0:
-                            out_total += out
-                            if pipe_out:
-                                emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
-                    busy = now
-                    cur_e = now
+            if on_build:
+                b_done += chunk
             else:
-                if b_pend > EPS:
-                    if p_pend > EPS:
-                        pb = b_done / b_total if b_total > 0 else 1.0
-                        pp = p_done / p_total if p_total > 0 else 1.0
-                        on_build = pb <= pp
-                    else:
-                        on_build = True
-                    first = True
-                elif p_pend > EPS:
-                    on_build = False
-                    first = True
-                else:
-                    first = False
-                if first:
-                    if on_build:
-                        chunk = b_pend if b_pend <= b_cap else b_cap
-                        b_pend -= chunk
-                        if b_pend < EPS:
-                            b_pend = 0.0
-                        out = chunk * p_done * density
-                        d = (chunk * b_coeff + out * rc) * tu * ws
-                    else:
-                        chunk = p_pend if p_pend <= p_cap else p_cap
-                        p_pend -= chunk
-                        if p_pend < EPS:
-                            p_pend = 0.0
-                        out = chunk * b_done * density
-                        d = (chunk * p_coeff + out * rc) * tu * ws
-                    s = now if now >= busy else busy
-                    e_t = s + d
-                    if cur_l == name and -1e-12 < s - cur_e < 1e-12:
-                        pass
-                    else:
-                        if cur_l is not None:
-                            intervals.append((cur_s, cur_e, cur_l))
-                        cur_s = s
-                        cur_l = name
-                    now = e_t
-                    ncomp += 1
-                    if on_build:
-                        b_done += chunk
-                    else:
-                        p_done += chunk
-                    if out > 0.0:
-                        out_total += out
-                        if pipe_out:
-                            emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
-                    while True:
-                        if b_pend > EPS:
-                            if p_pend > EPS:
-                                pb = b_done / b_total if b_total > 0 else 1.0
-                                pp = p_done / p_total if p_total > 0 else 1.0
-                                on_build = pb <= pp
-                            else:
-                                on_build = True
-                        elif p_pend > EPS:
-                            on_build = False
-                        else:
-                            break
-                        if on_build:
-                            chunk = b_pend if b_pend <= b_cap else b_cap
-                            b_pend -= chunk
-                            if b_pend < EPS:
-                                b_pend = 0.0
-                            out = chunk * p_done * density
-                            now = now + (chunk * b_coeff + out * rc) * tu * ws
-                            b_done += chunk
-                        else:
-                            chunk = p_pend if p_pend <= p_cap else p_cap
-                            p_pend -= chunk
-                            if p_pend < EPS:
-                                p_pend = 0.0
-                            out = chunk * b_done * density
-                            now = now + (chunk * p_coeff + out * rc) * tu * ws
-                            p_done += chunk
-                        ncomp += 1
-                        if out > 0.0:
-                            out_total += out
-                            if pipe_out:
-                                emissions.append(
-                                (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
-                            )
-                    busy = now
-                    cur_e = now
-            # Drained: pay a materialized output's send-setup
-            # handshakes, then report completion.
-            if has_close and close_d > 0.0:
-                s = now if now >= busy else busy
-                e_t = s + close_d
-                busy = e_t
-                if cur_l == hs_label and -1e-12 < s - cur_e < 1e-12:
-                    cur_e = e_t
-                else:
-                    if cur_l is not None:
-                        intervals.append((cur_s, cur_e, cur_l))
-                    cur_s = s
-                    cur_e = e_t
-                    cur_l = hs_label
-                now = e_t
-                ncomp += 1
-            done_time = now
-            break
+                p_done += chunk
+            if out > 0.0:
+                out_total += out
+                if pipe_out:
+                    emissions.append(
+                        (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
+                    )
+            completing = False
 
         # Select the next CPU chunk (algorithm hook, inlined).
         have = False
@@ -934,19 +721,34 @@ def _run_process(
                     cur_s = s
                     cur_e = e_t
                     cur_l = name
-            free_end = e_t
-            push_t = now
-            in_chunk = True
             completing = True
             continue
 
-        # No chunk and not finishable (a drained process is caught by
-        # the pure-drain branch above): wait for the next arrival.
+        # No chunk selectable.  With every arrival in and both sides
+        # closed the operands are drained: pay a materialized output's
+        # send-setup handshakes, then report completion.
         if ei >= en:
-            raise RuntimeError(
-                f"turbo simulation starved in {name}: operands not drained "
-                "and no arrivals remain; schedule wiring bug"
-            )
+            if not (b_closed and p_closed):
+                raise RuntimeError(
+                    f"turbo simulation starved in {name}: operands not drained "
+                    "and no arrivals remain; schedule wiring bug"
+                )
+            if close_d > 0.0:
+                s = now if now >= busy else busy
+                e_t = s + close_d
+                busy = e_t
+                if cur_l == hs_label and -1e-12 < s - cur_e < 1e-12:
+                    cur_e = e_t
+                else:
+                    if cur_l is not None:
+                        intervals.append((cur_s, cur_e, cur_l))
+                    cur_s = s
+                    cur_e = e_t
+                    cur_l = hs_label
+                now = e_t
+                ncomp += 1
+            break
+        # Otherwise wait for the next arrival.
         ent = entries[ei]
         # Rendezvous at idle: the clock is about to be reset to an
         # arrival time every sibling shares, and everything else the
@@ -990,20 +792,13 @@ def _run_process(
     p_port.pending = p_pend
     p_port.processed = p_done
     p_port.eos_received = p_eos
-    proc.ready = True
-    proc.released = True
-    proc.started = True
-    proc.cpu_busy = False
-    proc.closing = True
-    proc.done = True
-    proc.done_time = done_time
-    proc.out_total = out_total
+    _finish(proc, now, out_total)
     if points is not None and not following:
         lead.proc = proc
         lead.emissions = emissions[rank0:]
         lead.intervals = intervals[imark:]
         lead.ncomp = ncomp
-    return done_time, ncomp, len(emissions) - rank0
+    return now, ncomp, len(emissions) - rank0
 
 
 def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
@@ -1169,7 +964,6 @@ def _signature(sim) -> tuple:
     cost-model and skew changes all change the key."""
     config = sim.config
     parts: List[object] = [
-        STRUCTURE_VERSION,
         sim.start_at,
         sim.label_prefix,
         config.tuple_unit,
@@ -1256,15 +1050,8 @@ def _replay(sim, profile: tuple) -> None:
         rt.done_processes = len(rt.processes)
         rt.remaining_deps = 0
         for proc, state in zip(rt.processes, pstates):
-            proc.ready = True
-            proc.released = True
-            proc.started = True
-            proc.cpu_busy = False
-            proc.closing = True
-            proc.done = True
+            _finish(proc, state[1], state[2])
             proc.start_time = state[0]
-            proc.done_time = state[1]
-            proc.out_total = state[2]
             (proc.left.pending, proc.left.processed,
              proc.left.eos_received, proc.left.first_arrival) = state[3]
             (proc.right.pending, proc.right.processed,

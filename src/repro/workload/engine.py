@@ -49,7 +49,12 @@ from ..sim.watchdog import (
     Watchdog,
     WatchdogError,
 )
-from .lifecycle import ShedPolicy, make_shed_policy
+from .lifecycle import (
+    ShedPolicy,
+    deadline_rng,
+    make_shed_policy,
+    resolve_deadline,
+)
 from .metrics import QueryRecord, WorkloadResult
 from .mix import QueryMix, QuerySpec
 from .policies import (
@@ -312,9 +317,7 @@ class WorkloadEngine:
         self.retry_backoff = retry_backoff
         self.rejected_retry_delay = rejected_retry_delay
         self.deadline = deadline
-        # Dedicated generator: deadline draws must not perturb arrival
-        # or client sampling (a deadline-free run stays bit-identical).
-        self._deadline_rng = random.Random(1_000_003 * deadline_seed + 17)
+        self._deadline_rng = deadline_rng(deadline_seed)
         self.shed = make_shed_policy(shed)
         if watchdog_limit is not None:
             self.machine.clock.watchdog = Watchdog(watchdog_limit)
@@ -391,7 +394,9 @@ class WorkloadEngine:
             spec=spec,
             arrival=time,
             client=client,
-            deadline=self._resolve_deadline(spec),
+            deadline=resolve_deadline(
+                spec, self.tenants, self.deadline, self._deadline_rng
+            ),
             tenant=spec.tenant,
         )
         self.records.append(record)
@@ -405,23 +410,6 @@ class WorkloadEngine:
                 )
             )
         return record
-
-    def _resolve_deadline(self, spec: QuerySpec) -> Optional[float]:
-        """Per-spec deadline wins, then the tenant default, then the
-        engine default (sampling a range deterministically, one draw
-        per submission)."""
-        if spec.deadline is not None:
-            return spec.deadline
-        if spec.tenant is not None:
-            tenant = self.tenants.get(spec.tenant)
-            if tenant is not None and tenant.deadline is not None:
-                return tenant.deadline
-        if self.deadline is None:
-            return None
-        if isinstance(self.deadline, (int, float)):
-            return float(self.deadline)
-        low, high = self.deadline
-        return self._deadline_rng.uniform(low, high)
 
     # -- the two workload drivers ----------------------------------------
 

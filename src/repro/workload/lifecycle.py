@@ -27,6 +27,7 @@ and of ``benchmarks/bench_overload.py``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -42,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import WorkloadEngine
     from .metrics import QueryRecord, WorkloadResult
     from .mix import QuerySpec
+    from .sched import TenantSpec
 
 #: Shed-policy names the engine, API, and CLI accept.
 SHED_POLICY_NAMES = ("drop_newest", "drop_oldest", "deadline_aware")
@@ -235,6 +237,41 @@ def make_shed_policy(
     )
 
 
+# -- deadlines --------------------------------------------------------------
+
+
+def deadline_rng(deadline_seed: int) -> random.Random:
+    """The generator deadline ranges are drawn from.  It is dedicated:
+    deadline draws must not perturb arrival or client sampling (a
+    deadline-free run stays bit-identical)."""
+    return random.Random(1_000_003 * deadline_seed + 17)
+
+
+def resolve_deadline(
+    spec: "QuerySpec",
+    tenants: Dict[str, "TenantSpec"],
+    default: Union[None, float, Tuple[float, float]],
+    rng: random.Random,
+) -> Optional[float]:
+    """A query's deadline, fixed at submission: the spec's own wins,
+    then its tenant's default, then ``default`` — seconds, or a
+    ``(lo, hi)`` range sampled from ``rng`` (one draw per call).  The
+    single definition for the workload engine and the cluster, which
+    resolves once at admission so every attempt races one deadline."""
+    if spec.deadline is not None:
+        return spec.deadline
+    if spec.tenant is not None:
+        tenant = tenants.get(spec.tenant)
+        if tenant is not None and tenant.deadline is not None:
+            return tenant.deadline
+    if default is None:
+        return None
+    if isinstance(default, (int, float)):
+        return float(default)
+    low, high = default
+    return rng.uniform(low, high)
+
+
 # -- overload sweeps ------------------------------------------------------
 
 
@@ -353,6 +390,8 @@ __all__ = [
     "DropOldestPolicy",
     "DeadlineAwarePolicy",
     "make_shed_policy",
+    "deadline_rng",
+    "resolve_deadline",
     "OverloadPoint",
     "overload_sweep",
 ]

@@ -118,19 +118,3 @@ def test_eviction_recomputes_not_corrupts(monkeypatch, cold_results):
             assert turbo.cache_stats()["profile_entries"] <= 1
     # Everything was evicted before its repeat: all misses, no hits.
     assert turbo.cache_stats()["profile_hits"] == 0
-
-
-def test_structure_version_is_part_of_the_key():
-    """Bumping STRUCTURE_VERSION must orphan old entries (the guard
-    that makes chunk-policy changes in sim/process.py safe)."""
-    turbo.clear_cache()
-    run_spec()
-    monkeypatch_version = turbo.STRUCTURE_VERSION + 1
-    try:
-        turbo.STRUCTURE_VERSION = monkeypatch_version
-        run_spec()
-        assert turbo.cache_stats()["profile_hits"] == 0
-        assert turbo.cache_stats()["profile_misses"] == 2
-    finally:
-        turbo.STRUCTURE_VERSION = monkeypatch_version - 1
-        turbo.clear_cache()

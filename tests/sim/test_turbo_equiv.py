@@ -25,6 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import (
+    LARGE_CARDINALITY,
+    LARGE_PROCESSORS,
+    SMALL_CARDINALITY,
+    SMALL_PROCESSORS,
+)
 from repro.core import Catalog, CostModel, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig
 from repro.sim.run import ScheduleSimulation
@@ -83,11 +89,60 @@ def test_grid_point_identical(shape, strategy, processors, skew):
     )
 
 
+@pytest.mark.parametrize("skew", (0.0, 0.7))
+@pytest.mark.parametrize("shape", SHAPES)
+def test_handshake_free_processes_have_no_streamed_input(shape, skew):
+    """Turbo applies arrivals only at a completion or while idle, never
+    before a process starts.  That is exact because a process with a
+    streamed input pays one startup handshake per producer, and the
+    handshake's completion absorbs, in heap order, everything that
+    arrived before the start.  So a process whose startup handshakes
+    are 0 must see no arrival at all: both its ports are base.
+
+    Checked over the paper's whole grid (Figures 9-14 processor counts,
+    both cardinalities, every strategy) and under skew.  It fails if
+    ``ScheduleSimulation._build`` ever wires a network input port with
+    ``expected_producers=0`` — say, stored results made handshake-free —
+    into a task whose output is materialized or the root: that
+    process's startup handshakes are 0, yet the producer's stored
+    result still reaches it as a timeline entry."""
+    names = paper_relation_names(10)
+    tree = make_shape(shape, names)
+    free = paid = 0
+    for cardinality, counts in (
+        (SMALL_CARDINALITY, SMALL_PROCESSORS),
+        (LARGE_CARDINALITY, LARGE_PROCESSORS),
+    ):
+        catalog = Catalog.regular(names, cardinality)
+        for strategy in STRATEGIES:
+            for processors in counts:
+                schedule = get_strategy(strategy).schedule(tree, catalog, processors)
+                sim = ScheduleSimulation(
+                    schedule, catalog, MachineConfig.paper(), None, skew
+                )
+                for rt in sim.runtimes:
+                    for proc in rt.processes:
+                        streamed = [
+                            port for port in (proc.left, proc.right)
+                            if port.mode != "base"
+                        ]
+                        if proc._startup_handshakes() == 0:
+                            assert not streamed, (
+                                f"{strategy}/{processors}p/{cardinality}: "
+                                f"{proc.name} has no startup handshake but "
+                                "a streamed input"
+                            )
+                            free += 1
+                        elif streamed:
+                            paid += 1
+    assert free and paid  # both kinds occur: the check is not vacuous
+
+
 @pytest.mark.parametrize("strategy", ("SP", "FP"))
 def test_free_operand_stands_down_to_the_classic_loop(strategy):
-    """A zero operand coefficient makes chunks free, which the drain
-    loops do not model: turbo declines the run untouched, and the
-    facade path (``run()`` tries turbo first) lands on the classic
+    """A zero operand coefficient makes chunks free, which turbo has not
+    been verified to model exactly: it declines the run untouched, and
+    the facade path (``run()`` tries turbo first) lands on the classic
     loop's result."""
     free = CostModel(base_coeff=0.0)
     turbo.clear_cache()
