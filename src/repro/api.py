@@ -397,8 +397,10 @@ def run_workload(
         apply either way.  The result then carries per-tenant metrics
         (``tenant_summary()``, ``latency_stats(tenant=...)``).
     ``fast_path``
-        Attempt the turbo analytic fast path for single-occupancy
-        epochs (default on).  Results are bit-identical either way;
+        Attempt the turbo analytic fast path for every query no pending
+        event can act on before it completes — under a claiming policy,
+        each query alone on its own processors, however many others
+        run beside it (default on).  Results are bit-identical either way;
         ``False`` forces every query onto the classic event loop
         (useful for benchmarking and equivalence tests).  The result's
         ``fast_path_queries`` counts the epochs that replayed

@@ -459,8 +459,11 @@ def _cmd_perf(args) -> int:
     query can take: every strategy solo through the simulator (the
     analytic path, cold then replayed), a one-client closed loop
     (single occupancy, so the hosted fast path), and an overlapped
-    open loop (several queries in flight, so the classic event loop
-    with its watchdog armed — the path that serves traffic).
+    open loop (several queries in flight on disjoint processor shares:
+    each fast-paths on its own share while the others' events drain
+    on the watchdog-armed heap — the path that serves traffic;
+    ``--no-fast-path`` drives the same traffic through the classic
+    event loop alone).
     Optionally under ``cProfile`` so perf work starts from measured hot
     spots instead of guesses (the committed numbers live in
     ``benchmarks/bench_perf.py`` and ``benchmarks/ladder``; this
@@ -483,7 +486,7 @@ def _cmd_perf(args) -> int:
                     args.processors,
                     cardinality=args.cardinality,
                 )
-        run_workload(
+        closed = run_workload(
             "wide_bushy",
             arrivals="closed",
             clients=1,
@@ -499,7 +502,7 @@ def _cmd_perf(args) -> int:
         )
         # Arrivals several times faster than one query's service time:
         # they overlap on the guideline policy's processor shares.
-        return run_workload(
+        overlapped = run_workload(
             "paper",
             arrivals="poisson",
             rate=0.4,
@@ -510,6 +513,7 @@ def _cmd_perf(args) -> int:
             cardinality=args.cardinality // 2,
             fast_path=not args.no_fast_path,
         )
+        return closed, overlapped
 
     if args.profile:
         import cProfile
@@ -526,13 +530,15 @@ def _cmd_perf(args) -> int:
         print(stream.getvalue(), end="")
     else:
         started = time.perf_counter()
-        overlapped = bench()
+        closed, overlapped = bench()
         elapsed = time.perf_counter() - started
         print(
             f"perf bench: {elapsed:.3f}s wall "
             f"({repeats}x4 strategies @ {args.cardinality} tuples, "
-            f"{queries}-query closed loop, {len(overlapped.records)}-query "
-            f"open loop with up to {overlapped.peak_in_flight} in flight); "
+            f"{queries}-query closed loop, {closed.fast_path_queries} "
+            f"fast-pathed, {len(overlapped.records)}-query "
+            f"open loop with up to {overlapped.peak_in_flight} in flight, "
+            f"{overlapped.fast_path_queries} fast-pathed); "
             f"turbo {turbo.cache_stats()}"
         )
     return 0
@@ -738,8 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "perf",
         help="micro-bench of the solo, single-occupancy and overlapped "
-             "paths, optionally under cProfile (committed numbers come "
-             "from benchmarks/bench_perf.py and benchmarks/ladder)",
+             "(fast-pathed per processor share) paths, optionally under "
+             "cProfile (committed numbers come from "
+             "benchmarks/bench_perf.py and benchmarks/ladder)",
     )
     p.add_argument("--profile", action="store_true",
                    help="wrap the bench in cProfile and print the "

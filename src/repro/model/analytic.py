@@ -181,10 +181,10 @@ def forecast_epoch_end(
     """Cheap absolute-time completion forecast for a hosted epoch.
 
     The workload engine uses this to decide whether a just-admitted
-    single-occupancy query is even *worth* attempting on the turbo
-    fast path: if the forecast — deliberately scaled down by
-    ``optimism`` so an over-predicting model cannot starve the fast
-    path — already lands past the next foreign clock event, the
+    query is even *worth* attempting on the turbo fast path: if the
+    forecast — deliberately scaled down by ``optimism`` so an
+    over-predicting model cannot starve the fast path — already lands
+    past the next clock event that can act on the query, the
     analytic run would be computed only to be rolled back, and the
     engine skips straight to the classic event loop.  The model is
     first-order, so callers must never treat this as the authoritative

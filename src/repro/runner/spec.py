@@ -54,7 +54,8 @@ class WorkloadTraffic:
     shed: Optional[str] = None
     pool_size: Optional[int] = None
     scheduling_cost: float = 0.0
-    #: Attempt the turbo fast path for single-occupancy epochs.  Like
+    #: Attempt the turbo fast path for hosted epochs no pending event
+    #: can act on (each query alone on its claimed processors).  Like
     #: ``workers``, this is an execution detail, not an experiment
     #: parameter: results are bit-identical either way, so it is
     #: deliberately absent from the cache payload — both settings

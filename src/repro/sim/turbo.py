@@ -40,9 +40,14 @@ Correctness notes (why this reproduces the event loop exactly):
   instant iff it was pushed earlier (its emit time precedes the
   chunk's start), lock-stepped sibling processes emit in process
   order, and build-time events (init/release) precede same-time
-  arrivals.  Configurations where ties are pervasive (zero startup,
-  latency or handshake cost — e.g. ``MachineConfig.ideal()``) are
-  declared ineligible and stay on the event loop.
+  arrivals.  The one case emit times cannot settle — an arrival
+  emitted at the very instant a chunk started, landing as the chunk
+  completes, so both were pushed at one instant in an order set by
+  which callback ran first — is declined: the run rolls back and stays
+  on the event loop (``cache_stats()["tie_declines"]``).
+  Configurations where ties are pervasive (zero startup, latency or
+  handshake cost — e.g. ``MachineConfig.ideal()``) are declared
+  ineligible and stay on the event loop.
 * **One chunk step** — :func:`_run_process` is the classic process's
   kick/completion cycle as a single loop with one site per duty: a
   completion (absorb the arrivals the heap dispatches before it, then
@@ -109,13 +114,18 @@ Turbo v2 adds three layers on top of the v1 interpreter:
   one spec thousands of times share a single memo entry.
 * **Hosted epochs** — :func:`execute_hosted` runs a *hosted* (shared
   clock, processor pool, ``on_complete``) simulation analytically when
-  its processors are idle and nothing else is scheduled before its
-  completion.  All arithmetic uses absolute times with ``start_at``
+  its processors are idle and no pending event that can act on it is
+  due before its completion.  Which events can act on it is the
+  caller's knowledge: a workload engine that claims the processors for
+  the query makes that only cancellations, however many other queries
+  run beside it on other processors; without claims, every pending
+  event.  All arithmetic uses absolute times with ``start_at``
   baked in — never rebased offsets, because float addition does not
   associate — so the result is bit-identical to the classic hosted
   run.  If the computed completion would overlap the caller-supplied
-  event barrier, every mutation is rolled back and the classic loop
-  proceeds as if turbo had never looked.
+  event barrier, or the run meets a same-instant tie, every mutation
+  is rolled back and the classic loop proceeds as if turbo had never
+  looked.
 """
 
 from __future__ import annotations
@@ -151,7 +161,14 @@ _STATS = {
     "hosted_rollbacks": 0,
     "sibling_runs": 0,
     "sibling_splices": 0,
+    "tie_declines": 0,
 }
+
+
+class _SameInstantTie(Exception):
+    """An arrival and a chunk completion were pushed at one simulated
+    instant and land at one time: the heap orders them by which callback
+    ran first, which the analytic run cannot see — decline the run."""
 
 
 def clear_cache() -> None:
@@ -624,8 +641,13 @@ def _run_process(
                 while ei < en:
                     ent = entries[ei]
                     ea = ent[0]
-                    if ea > busy or (ea == busy and ent[1] >= now):
-                        break
+                    if ea >= busy:
+                        if ea > busy or ent[1] > now:
+                            break
+                        if ent[1] == now:
+                            # Both pushed at one instant: their order is
+                            # which callback ran first, not visible here.
+                            raise _SameInstantTie
                     c = ent[5] * share
                     if ent[4] == bflag:
                         b_pend += c
@@ -1080,7 +1102,13 @@ def execute(sim) -> bool:
         _replay(sim, profile)
         return True
     _STATS["profile_misses"] += 1
-    finished_at, nevents, transferred = _compute(sim, order)
+    try:
+        finished_at, nevents, transferred = _compute(sim, order)
+    except _SameInstantTie:
+        _STATS["tie_declines"] += 1
+        # Fresh processors: every trace starts empty and idle.
+        _rollback(sim, [(p, 0, 0.0) for p in sim.processors.values()])
+        return False
     sim.network.transferred += transferred
     sim._completed_tasks = len(sim.runtimes)
     sim.finished_at = finished_at
@@ -1132,22 +1160,32 @@ def _rollback(sim, marks: List[Tuple[object, int, float]]) -> None:
 
 
 def execute_hosted(sim, barrier: float) -> Optional[float]:
-    """Analytically execute a freshly built *hosted* simulation as a
-    single-occupancy epoch.
+    """Analytically execute a freshly built *hosted* simulation as one
+    epoch: from its start to its completion in a single step.
 
-    ``barrier`` is the earliest simulated time at which any foreign
-    event (another arrival, a deadline, a cancellation, a costed
-    scheduling decision) is due on the shared clock — the caller scans
-    its queue *before* building the simulation, when every entry is
-    foreign.  If the analytically computed completion lies strictly
-    before the barrier, nothing else can observe or perturb the epoch:
-    the state is committed, the simulation's own build events are
-    cancelled, and one completion event is scheduled at the finish
+    ``barrier`` is the earliest simulated time at which a pending event
+    that can act on this query is due — found by the caller *before*
+    building the simulation, when no entry is the query's own.  The
+    caller vouches that nothing else touches the query's processors or
+    reads its state before its completion event: a query alone on the
+    machine (every pending event is then a barrier), or alone on
+    processors its host claimed for it (only a cancellation is).  If
+    the analytically computed completion lies strictly before the
+    barrier, the state is committed, the simulation's own build events
+    are cancelled, and one completion event is scheduled at the finish
     instant to run ``on_complete`` (so the caller's completion logic
-    executes at the same clock time, in the same dispatch position,
-    as in the classic run).  Otherwise every mutation is rolled back
-    and ``None`` is returned — the classic event loop takes over with
-    the build events still armed.
+    executes at the same clock time as in the classic run, and its
+    effects reach other queries only from there).  That event is pushed
+    now, where the classic run pushes it from the query's last task: at
+    its instant it dispatches ahead of events pushed meanwhile, so the
+    caller also keeps such ties out (the workload engine's structural
+    one — twin queries admitted at one instant, finishing at one
+    instant — by keeping a query classic when a classic query was
+    admitted at the same instant).
+    Otherwise — or when
+    the run meets a same-instant tie it cannot order — every mutation is
+    rolled back and ``None`` is returned: the classic event loop takes
+    over with the build events still armed.
 
     ``clock.events_dispatched`` is deliberately left untouched: the
     classic loop only folds its dispatch count in when ``run()``
@@ -1162,12 +1200,18 @@ def execute_hosted(sim, barrier: float) -> Optional[float]:
         for processor in sim.processors.values()
     ]
     _STATS["hosted_runs"] += 1
-    finished_at, _nevents, transferred = _compute(sim, order)
+    try:
+        finished_at, _nevents, transferred = _compute(sim, order)
+    except _SameInstantTie:
+        _STATS["tie_declines"] += 1
+        _rollback(sim, marks)
+        return None
     if finished_at >= barrier:
         _STATS["hosted_rollbacks"] += 1
         _rollback(sim, marks)
         return None
-    # Single occupancy: everything past each mark is this epoch's.
+    # The processors are this query's alone until its completion
+    # releases them: everything past each mark is this epoch's.
     for ident, (processor, mark, _busy) in zip(sim.processors, marks):
         sim._spans[ident].extend(processor.intervals[mark:])
     sim.network.transferred += transferred

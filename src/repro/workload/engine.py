@@ -21,6 +21,7 @@ superset of the reproduction.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from typing import (
@@ -79,6 +80,8 @@ RECOVERY_POLICIES = ("fail", "restart", "reassign")
 #: and livelock the clock without ever advancing time; any positive
 #: delay makes the ``duration`` horizon reachable.
 REJECTED_RETRY_DELAY = 0.1
+
+_INF = float("inf")
 
 
 class SharedMachine(MachineView):
@@ -337,14 +340,20 @@ class WorkloadEngine:
                 )
             injector.attach_engine(self)
             self.injector = injector
-        #: Attempt the turbo fast path for single-occupancy epochs.
-        #: Pure performance: results are bit-identical either way
-        #: (pinned by the golden fixtures), so this stays on by
-        #: default and exists mainly so tests and benchmarks can
-        #: compare against the classic event loop.
+        #: Attempt the turbo fast path for processor-disjoint epochs
+        #: (see :meth:`_fast_path_barrier`).  Pure performance: results
+        #: are bit-identical either way (pinned by the golden fixtures),
+        #: so this stays on by default and exists mainly so tests and
+        #: benchmarks can compare against the classic event loop.
         self.fast_path = bool(fast_path)
         #: Queries whose whole epoch replayed analytically.
         self.fast_path_queries = 0
+        self._owns_clock = clock is None
+        # Times of the pending ``cancel_at`` events (a min-heap; entries
+        # already in the past are dropped lazily).
+        self._cancel_times: List[float] = []
+        # The latest instant a query was admitted onto the classic loop.
+        self._classic_admitted_at = -_INF
         self.records: List[QueryRecord] = []
         self._queue: Deque[QueryRecord] = deque()
         # record.index -> (record, sim, allocation, memory_bytes)
@@ -474,6 +483,14 @@ class WorkloadEngine:
         its processors/memory released.  Returns ``False`` when the
         query is already terminal (completed, rejected, failed, or
         cancelled) — cancellation is idempotent, never an error.
+
+        On a standalone engine with a claiming policy only
+        :meth:`cancel_at` times hold a running query back from the fast
+        path (see :meth:`_fast_path_barrier`): cancel a running query
+        from inside the run through :meth:`cancel_at`, or build the
+        engine with ``fast_path=False`` — a call from any other clock
+        event may find its epoch already committed past ``now``, and
+        raises ``RuntimeError``.
         """
         record = self.records[query] if isinstance(query, int) else query
         if self._terminal(record):
@@ -502,6 +519,7 @@ class WorkloadEngine:
         refer to a query submitted later (closed-loop records are not
         known up front); a cancellation whose target never materializes
         or is already terminal is a no-op."""
+        heapq.heappush(self._cancel_times, time)
         self.machine.clock.at(time, self._cancel_event, query, reason)
 
     def _cancel_event(
@@ -756,37 +774,23 @@ class WorkloadEngine:
             network=self.machine.network,
         )
         skip = self._credits.get(record.index, frozenset())
-        # Hosted single-occupancy epoch: if this query is alone on the
-        # machine and no foreign clock event (arrival, horizon, cancel,
-        # costed decision) can land before it completes, its whole
-        # epoch can replay on the turbo fast path instead of draining
-        # the event heap.  The barrier must be scanned *before* the
-        # sim is built — afterwards the queue also holds the sim's own
-        # init/release events.  The analytic forecast is only a
-        # pre-gate against computing runs that would roll back;
-        # ``execute_hosted`` re-checks the exact completion.
+        # Hosted epoch: if no pending event can act on this query before
+        # it completes, its whole epoch can replay on the turbo fast
+        # path instead of draining the event heap.  The barrier must be
+        # found *before* the sim is built — afterwards the queue also
+        # holds the sim's own init/release events.  The analytic
+        # forecast is only a pre-gate against computing runs that would
+        # roll back; ``execute_hosted`` re-checks the exact completion.
         fp_barrier = None
-        if (
-            self.fast_path
-            and self.injector is None
-            and record.deadline is None
-            and not skip
-            and self._in_flight == 0
-            and not self._queue
-            and not self._decision_pending
+        barrier = self._fast_path_barrier(record, allocation)
+        if barrier is not None and now < barrier and (
+            barrier == _INF
+            or forecast_epoch_end(
+                schedule, catalog, now, self.machine.config, self.cost_model
+            )
+            < barrier
         ):
-            barrier = self._earliest_pending_event()
-            if now < barrier and (
-                forecast_epoch_end(
-                    schedule,
-                    catalog,
-                    now,
-                    self.machine.config,
-                    self.cost_model,
-                )
-                < barrier
-            ):
-                fp_barrier = barrier
+            fp_barrier = barrier
         try:
             sim = ScheduleSimulation(
                 schedule,
@@ -821,20 +825,75 @@ class WorkloadEngine:
             )
         if self.scheduler is not None:
             self.scheduler.admitted(record, now)
-        if fp_barrier is not None:
-            # All admission bookkeeping is done, so a successful fast
-            # path leaves engine state exactly where the classic loop
-            # would at this instant; a rollback leaves the sim's own
-            # events armed and the heap drains it classically.
-            if turbo.execute_hosted(sim, fp_barrier) is not None:
-                self.fast_path_queries += 1
+        # All admission bookkeeping is done, so a successful fast path
+        # leaves engine state exactly where the classic loop would at
+        # this instant; a rollback (barrier miss or same-instant tie)
+        # leaves the sim's own events armed and the heap drains it
+        # classically.
+        if (
+            fp_barrier is not None
+            and turbo.execute_hosted(sim, fp_barrier) is not None
+        ):
+            self.fast_path_queries += 1
+        else:
+            self._classic_admitted_at = now
         return "admitted"
+
+    def _fast_path_barrier(
+        self, record: QueryRecord, allocation: Allocation
+    ) -> Optional[float]:
+        """The earliest pending event that can act on ``record`` once it
+        runs on ``allocation``, or ``None`` when its epoch must take the
+        classic loop.
+
+        A standalone engine (its own clock, no terminal hook) hands a
+        claimed allocation processors no other query touches until the
+        query's one completion event releases them.  Everything else the
+        engine does — other arrivals, completions, re-arrivals, costed
+        decisions, other records' deadlines, autoscale rechecks and
+        drains — admits, retires or drains *other* queries and commutes
+        with this epoch; only a ``cancel_at`` can act on it.  One order
+        does not commute: a fast-path completion event is pushed at
+        admission, a classic one by the query's last task.  Twins — one
+        spec admitted at one instant — run in lock step and finish at
+        the same instant, so a fast twin admitted after a classic one
+        would complete first where the classic loop completes it second.
+        The query therefore stays classic when a classic query was
+        admitted at this very instant.  A classic twin admitted after it
+        completes after it on both paths, and fast twins complete in
+        admission order, as their classic runs do.  Elsewhere
+        (time-shared ``round_robin`` slices, a coordinator's shared
+        clock whose hook may cancel any query on any completion) the
+        query must be alone on the machine, and every pending event is
+        a barrier."""
+        if (
+            not self.fast_path
+            or self.injector is not None
+            or record.deadline is not None
+            or record.index in self._credits
+        ):
+            return None
+        if (
+            allocation.exclusive
+            and self._owns_clock
+            and self.on_query_done is None
+        ):
+            now = self.machine.clock.now
+            if self._classic_admitted_at == now:
+                return None  # it may have a twin on the classic path
+            cancels = self._cancel_times
+            while cancels and cancels[0] < now:
+                heapq.heappop(cancels)
+            return cancels[0] if cancels else _INF
+        if self._in_flight or self._queue or self._decision_pending:
+            return None
+        return self._earliest_pending_event()
 
     def _earliest_pending_event(self) -> float:
         """Earliest live event on the shared clock — the barrier before
         which a hosted fast-path epoch must fully complete.  Cancelled
         entries are lazily deleted tombstones and cannot fire."""
-        earliest = float("inf")
+        earliest = _INF
         for time, _seq, handle, _fn, _args in self.machine.clock._queue:
             if handle is not None and handle.cancelled:
                 continue
@@ -937,6 +996,16 @@ class WorkloadEngine:
         inert, account the burnt CPU to the record, and release the
         attempt's processors and memory."""
         _, sim, allocation, memory_bytes = self._active.pop(record.index)
+        now = self.machine.clock.now
+        if sim.finished_at is not None and sim.finished_at > now:
+            # Only a fast-path epoch holds its completion ahead of the
+            # clock, and its barrier was supposed to exclude this actor.
+            raise RuntimeError(
+                f"query {record.index} aborted at t={now!r} ({reason}) "
+                "after its fast-path epoch committed completion at "
+                f"t={sim.finished_at!r}: an event the fast-path barrier "
+                "does not know acted on it"
+            )
         sim.abort(reason)
         # The CPU the attempt burnt, summed per processor.
         record.wasted_seconds += ordered_sum(

@@ -138,7 +138,7 @@ class WorkloadResult:
     scheduler: Optional[str] = None  # ordering policy (None: legacy FIFO)
     scheduling_decisions: int = 0    # admission decisions the scheduler made
     #: Queries whose whole hosted epoch ran on the turbo fast path
-    #: (single-occupancy, no foreign event before completion).  Pure
+    #: (no pending event could act on them before completion).  Pure
     #: telemetry: the rows and every other metric are bit-identical
     #: whether a query replayed analytically or drained the heap.
     fast_path_queries: int = 0

@@ -8,7 +8,9 @@ workload with one deadline miss and one crash + retry, and a hedged
 two-shard cluster — and compare with digests recorded on the commit
 *before* the event core was tightened (``tests/golden/
 dispatch_digests.json``).  Event-core performance work may change how
-fast an event is dispatched, never which event comes next.
+fast an event is dispatched, never which event comes next.  Both runs
+pin the classic loop (``fast_path=False``): a fast-pathed epoch
+dispatches one completion instead of its whole run, by design.
 
 Regenerate deliberately, after a documented semantics change::
 
@@ -87,6 +89,7 @@ def overlapped_workload():
         ],
         faults=FaultSchedule(crashes=(CrashFault(3, 8.0, 13.0),)),
         recovery="restart",
+        fast_path=False,
     )
 
 
@@ -103,6 +106,7 @@ def hedged_cluster():
         share=12,
         retry_budget=1,
         hedge={"percentile": 50.0, "min_observations": 3, "window": 16},
+        fast_path=False,
     )
 
 

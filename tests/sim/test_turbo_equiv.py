@@ -43,13 +43,13 @@ AXES = ((8, 0.0), (40, 0.7))
 
 
 def build(shape, strategy, processors, skew, cardinality=400, relations=6,
-          cost_model=None):
+          cost_model=None, config=None):
     names = paper_relation_names(relations)
     tree = make_shape(shape, names)
     catalog = Catalog.regular(names, cardinality)
     schedule = get_strategy(strategy).schedule(tree, catalog, processors)
     return ScheduleSimulation(
-        schedule, catalog, MachineConfig.paper(), cost_model, skew
+        schedule, catalog, config or MachineConfig.paper(), cost_model, skew
     )
 
 
@@ -155,6 +155,37 @@ def test_free_operand_stands_down_to_the_classic_loop(strategy):
         classic("wide_bushy", strategy, 8, 0.0, cost_model=free),
         via_facade.result(),
     )
+
+
+def test_same_instant_tie_stands_down_to_the_classic_loop():
+    """An arrival emitted at the very instant a chunk starts, landing as
+    the chunk completes, was pushed in the same instant as that
+    completion: which dispatches first is which callback ran first,
+    and emit times cannot tell.  Turbo declines such a run (on this
+    point, ordering by emit time put the completion first and finished
+    1.953 ms early, three events over) and rolls back whatever it had
+    computed."""
+    point = dict(
+        cardinality=200, relations=10,
+        config=MachineConfig(
+            tuple_unit=0.001, process_startup=0.008, handshake=0.012,
+            network_latency=0.05, batches=8,
+        ),
+    )
+    turbo.clear_cache()
+    declined = build("left_bushy", "FP", 12, 0.0, **point)
+    assert not turbo.execute(declined)
+    assert turbo.cache_stats()["tie_declines"] == 1
+    assert turbo.cache_stats()["profile_entries"] == 0
+    assert declined.clock.events_dispatched == 0
+    assert all(not p.intervals and p.busy_until == 0.0
+               for p in declined.processors.values())
+    declined.clock.run()
+    reference = classic("left_bushy", "FP", 12, 0.0, **point)
+    assert_identical(reference, declined.result())
+    via_facade = build("left_bushy", "FP", 12, 0.0, **point)
+    via_facade.run()
+    assert_identical(reference, via_facade.result())
 
 
 class TestFPHeavyShapes:

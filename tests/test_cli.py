@@ -51,21 +51,39 @@ class TestSimulate:
 class TestPerf:
     def test_smoke_bench_covers_the_overlapped_path(self, capsys):
         """The bench must exercise the path that serves traffic — several
-        queries in flight on the classic loop — not only single
-        occupancy, or its profile never shows what overlapped serving
-        costs."""
+        queries in flight, each fast-pathed on its own processor share —
+        not only single occupancy, or its profile never shows what
+        overlapped serving costs; ``--no-fast-path`` must still drive
+        the same overlap through the classic loop."""
         import re
 
-        code, out = run_cli(capsys, "perf", "--smoke", "--cardinality", "600")
-        assert code == 0
-        in_flight = re.search(r"open loop with up to (\d+) in flight", out)
-        assert in_flight and int(in_flight.group(1)) > 1
-        assert "'hosted_runs': 8" in out  # the closed loop still fast-paths
+        def bench(*flags):
+            code, out = run_cli(
+                capsys, "perf", "--smoke", "--cardinality", "600", *flags
+            )
+            assert code == 0
+            loops = re.search(
+                r"8-query closed loop, (\d+) fast-pathed, (\d+)-query open "
+                r"loop with up to (\d+) in flight, (\d+) fast-pathed",
+                out,
+            )
+            assert loops and int(loops.group(3)) > 1
+            hosted = int(re.search(r"'hosted_runs': (\d+)", out).group(1))
+            closed, queries, _peak, fast = map(int, loops.groups())
+            return out, closed, queries, fast, hosted
+
+        out, closed, queries, fast, hosted = bench()
+        assert closed == 8  # single occupancy: every epoch fast-paths
+        assert fast > 0
+        # The closed loop's 8 epochs plus every open-loop attempt.
+        assert 8 + fast <= hosted <= 8 + queries
         runs, splices = (
             int(re.search(rf"'sibling_{name}': (\d+)", out).group(1))
             for name in ("runs", "splices")
         )
         assert 0 < splices <= runs  # attempts printed beside useful outcomes
+        _out, closed, _queries, fast, hosted = bench("--no-fast-path")
+        assert closed == fast == hosted == 0
 
 
 class TestPlan:

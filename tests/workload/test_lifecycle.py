@@ -289,9 +289,13 @@ class TestWatchdogRegression:
         assert "engine state at trip" in message
         assert "in flight" in message
 
-    def _livelocked(self, fast_config):
+    def _livelocked(self, fast_config, fast_path=False):
+        """The pinned diagnostic is the classic loop's: a fast-pathed
+        query 0 never dispatches its two release events, which shifts
+        the trailing ring by two arrivals."""
         engine = small_engine(
-            fast_config, queue_limit=0, watchdog_limit=500
+            fast_config, queue_limit=0, watchdog_limit=500,
+            fast_path=fast_path,
         )
         engine.rejected_retry_delay = 0.0  # revert the fix, in-test only
         with pytest.raises(WatchdogError) as excinfo:
@@ -325,6 +329,19 @@ class TestWatchdogRegression:
                 "499 submitted"
             ]
         )
+
+    def test_fast_path_livelock_trips_at_the_same_instant(self, fast_config):
+        """The watchdog counts *dispatched* events and a fast-pathed
+        epoch dispatches one, so the trip instant and message stand;
+        only the trailing ring may differ."""
+        error = self._livelocked(fast_config, fast_path=True)
+        assert error.at == 0.0
+        assert str(error).splitlines()[0] == (
+            "simulation livelock: 501 events dispatched at simulated "
+            "t=0.000000s without the clock advancing (a callback keeps "
+            "rescheduling itself at the current instant)"
+        )
+        assert "1 in flight [0]" in error.diagnostic
 
     def test_events_are_described_only_when_the_dump_is_read(
         self, fast_config, monkeypatch
