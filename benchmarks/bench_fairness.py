@@ -1,39 +1,28 @@
-"""The BENCH fairness gate: tenant isolation under an abusive tenant.
+"""Tenant isolation under an abusive tenant.
 
 Two open-loop tenants share one simulated 40-processor machine: a
 well-behaved tenant offering a steady rate well inside its fair share,
-and an abusive tenant ramping to ``--abuse-factor`` times its fair
-rate.  Every query carries the same deadline, so *useful* completions
-(in-deadline) are what goodput counts.
+and an abusive tenant at 3x its fair rate.  Every query carries the
+same deadline, so *useful* completions (in-deadline) are what goodput
+counts.
 
-The isolation claim this benchmark institutionalizes:
+The isolation claim this benchmark asserts:
 
-* under ``wfq`` the well-behaved tenant keeps at least
-  ``WFQ_RETENTION`` (85%) of the useful completions it gets when
-  running **solo** on the same machine, even at 3x abuse;
+* under ``wfq`` the well-behaved tenant keeps at least 85% of the
+  useful completions it gets when running **solo** on the same
+  machine;
 * under ``fifo`` the same abuse collapses the well-behaved tenant
-  below ``FIFO_COLLAPSE`` (50%) of its solo baseline — the queue is
-  shared, so the abuser's backlog pushes everyone past the deadline.
+  below 50% of its solo baseline — the queue is shared, so the
+  abuser's backlog pushes everyone past the deadline.
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/bench_fairness.py            # full
-    PYTHONPATH=src python benchmarks/bench_fairness.py --smoke    # CI-sized
-    PYTHONPATH=src python benchmarks/bench_fairness.py --check    # gate
-
-Writes ``BENCH_fairness.json`` (override with ``--output``).
+    PYTHONPATH=src python -m pytest benchmarks/bench_fairness.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import sys
-
 from repro import api
 from repro.sim import MachineConfig
-from repro.workload import TenantSpec, fairness_points
+from repro.workload import TenantSpec, fairness_sweep
 
 #: Coarse batches keep each workload cell to a fraction of a second.
 FAST = MachineConfig(
@@ -41,160 +30,32 @@ FAST = MachineConfig(
     network_latency=0.05, batches=8,
 )
 
-#: wfq must retain at least this fraction of the solo baseline.
-WFQ_RETENTION = 0.85
-#: fifo must fall below this fraction (demonstrating the collapse).
-FIFO_COLLAPSE = 0.50
-
-#: Full-run shape: ~2.1 s service time (FP, 1000 tuples, FAST machine)
-#: means capacity ~0.48 q/s, so a tenant's *fair rate* (half the
-#: machine) is ~0.24 q/s.  The good tenant offers 0.15 q/s — inside
-#: its fair share — while abuse at 3x its fair rate (0.72 q/s) drives
-#: the machine deep into overload.
-FULL = dict(
-    cardinality=1_000, good_rate=0.15, fair_rate=0.24, deadline=30.0,
-    duration=600.0,
-)
-#: Smoke shape: smaller queries (~1.0 s service, capacity ~0.97 q/s,
-#: fair rate ~0.48 q/s), shorter horizon.
-SMOKE = dict(
-    cardinality=400, good_rate=0.30, fair_rate=0.48, deadline=15.0,
-    duration=200.0,
+#: ~1.0 s service time (FP, 400 tuples, FAST machine) means capacity
+#: ~0.97 q/s, so a tenant's *fair rate* (half the machine) is ~0.48 q/s.
+#: The good tenant offers 0.30 q/s — inside its fair share — while abuse
+#: at 3x the fair rate drives the machine deep into overload.
+GOOD_RATE = 0.30
+FAIR_RATE = 0.48
+ABUSE_FACTOR = 3.0
+DEADLINE = 15.0
+KNOBS = dict(
+    mix_or_shape="wide_bushy", duration=200.0, seed=7, machine_size=40,
+    policy="exclusive", strategy="FP", cardinality=400, config=FAST,
 )
 
-MACHINE_SIZE = 40
-STRATEGY = "FP"
-ABUSE_FACTORS = (1.0, 2.0, 3.0)
-SEED = 7
 
-
-def run_cell(scheduler, tenants, *, cardinality, duration):
-    """One workload run; returns the WorkloadResult."""
-    return api.run_workload(
-        "wide_bushy",
-        arrivals="poisson",
-        duration=duration,
-        seed=SEED,
-        machine_size=MACHINE_SIZE,
-        policy="exclusive",
-        strategy=STRATEGY,
-        cardinality=cardinality,
-        config=FAST,
-        scheduler=scheduler,
-        tenants=tenants,
+def test_wfq_isolates_the_well_behaved_tenant():
+    solo = api.run_workload(
+        arrivals="poisson", scheduler="fifo",
+        tenants=(TenantSpec("good", deadline=DEADLINE, rate=GOOD_RATE),),
+        **KNOBS,
+    ).useful_count("good")
+    assert solo > 0
+    points = fairness_sweep(
+        schedulers=("fifo", "wfq"), abuse_factors=(ABUSE_FACTOR,),
+        good_rate=GOOD_RATE, abuse_fair_rate=FAIR_RATE, deadline=DEADLINE,
+        **KNOBS,
     )
-
-
-def solo_baseline(params):
-    """Useful completions of the well-behaved tenant running alone."""
-    tenants = (
-        TenantSpec("good", deadline=params["deadline"],
-                   rate=params["good_rate"]),
-    )
-    result = run_cell(
-        "fifo", tenants,
-        cardinality=params["cardinality"], duration=params["duration"],
-    )
-    return result.useful_count("good")
-
-
-def abuse_cells(params, abuse_factors, schedulers=("fifo", "wfq")):
-    """Per-(scheduler, factor) fairness points, keyed rows."""
-    points = []
-    for scheduler in schedulers:
-        for factor in abuse_factors:
-            tenants = (
-                TenantSpec("good", deadline=params["deadline"],
-                           rate=params["good_rate"]),
-                TenantSpec("abuse", deadline=params["deadline"],
-                           rate=params["fair_rate"] * factor),
-            )
-            result = run_cell(
-                scheduler, tenants,
-                cardinality=params["cardinality"],
-                duration=params["duration"],
-            )
-            points.extend(fairness_points(result, scheduler, factor))
-    return points
-
-
-def check(points, solo_useful, abuse_factor):
-    """The isolation gate; returns a list of failure messages."""
-    failures = []
-    good = {
-        p.scheduler: p for p in points
-        if p.tenant == "good" and p.abuse_factor == abuse_factor
-    }
-    wfq_ratio = good["wfq"].completed / solo_useful if solo_useful else 0.0
-    fifo_ratio = good["fifo"].completed / solo_useful if solo_useful else 0.0
-    if wfq_ratio < WFQ_RETENTION:
-        failures.append(
-            f"wfq retention {wfq_ratio:.0%} < {WFQ_RETENTION:.0%} "
-            f"({good['wfq'].completed}/{solo_useful} useful at "
-            f"{abuse_factor:g}x abuse)"
-        )
-    if fifo_ratio >= FIFO_COLLAPSE:
-        failures.append(
-            f"fifo did not collapse: {fifo_ratio:.0%} >= "
-            f"{FIFO_COLLAPSE:.0%} ({good['fifo'].completed}/{solo_useful} "
-            f"useful at {abuse_factor:g}x abuse)"
-        )
-    return failures, {"wfq": wfq_ratio, "fifo": fifo_ratio}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (smaller queries, shorter horizon)")
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero when the isolation gate fails")
-    parser.add_argument("--output", default=None, help="result JSON path")
-    args = parser.parse_args(argv)
-
-    params = SMOKE if args.smoke else FULL
-    factors = (1.0, 3.0) if args.smoke else ABUSE_FACTORS
-
-    solo = solo_baseline(params)
-    print(f"solo baseline: {solo} useful completions "
-          f"({params['good_rate']:g} q/s x {params['duration']:g}s)")
-
-    points = abuse_cells(params, factors)
-    for p in points:
-        print(f"  {p.scheduler:5s} abuse={p.abuse_factor:g}x "
-              f"{p.tenant:5s} offered={p.offered:3d} done={p.completed:3d} "
-              f"goodput={p.goodput:.3f} share={p.share:.0%}")
-
-    failures, ratios = check(points, solo, factors[-1])
-    verdict = "PASS" if not failures else "FAIL"
-    print(f"isolation at {factors[-1]:g}x abuse: "
-          f"wfq {ratios['wfq']:.0%}, fifo {ratios['fifo']:.0%} "
-          f"of solo -> {verdict}")
-    for failure in failures:
-        print(f"  {failure}", file=sys.stderr)
-
-    out = pathlib.Path(
-        args.output
-        or pathlib.Path(__file__).resolve().parent
-        / "results" / "BENCH_fairness.json"
-    )
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps({
-        "mode": "smoke" if args.smoke else "full",
-        "params": params,
-        "solo_useful": solo,
-        "ratios": ratios,
-        "thresholds": {
-            "wfq_retention": WFQ_RETENTION, "fifo_collapse": FIFO_COLLAPSE,
-        },
-        "points": [p.row() for p in points],
-        "pass": not failures,
-    }, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-
-    if args.check and failures:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    good = {p.scheduler: p.completed for p in points if p.tenant == "good"}
+    assert good["wfq"] >= 0.85 * solo, f"wfq kept {good['wfq']}/{solo}"
+    assert good["fifo"] < 0.50 * solo, f"fifo kept {good['fifo']}/{solo}"

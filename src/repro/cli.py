@@ -457,7 +457,7 @@ def _cmd_faults(args) -> int:
 def _cmd_perf(args) -> int:
     """A small self-contained bench of the three paths a simulated
     query can take: every strategy solo through the simulator (the
-    analytic path, cold then replayed), a one-client closed loop
+    analytic path, once each on cold caches), a one-client closed loop
     (single occupancy, so the hosted fast path), and an overlapped
     open loop (several queries in flight on disjoint processor shares:
     each fast-paths on its own share while the others' events drain
@@ -466,26 +466,24 @@ def _cmd_perf(args) -> int:
     event loop alone).
     Optionally under ``cProfile`` so perf work starts from measured hot
     spots instead of guesses (the committed numbers live in
-    ``benchmarks/bench_perf.py`` and ``benchmarks/ladder``; this
-    command is for finding where the time goes)."""
+    ``benchmarks/ladder``; this command is for finding where the time
+    goes)."""
     import time
 
     from .api import run, run_workload
     from .sim import turbo
 
-    repeats = 1 if args.smoke else args.repeats
     queries = 8 if args.smoke else 24
 
     def bench():
         turbo.clear_cache()
         for strategy in ("SP", "SE", "RD", "FP"):
-            for _ in range(repeats):
-                run(
-                    "wide_bushy",
-                    strategy,
-                    args.processors,
-                    cardinality=args.cardinality,
-                )
+            run(
+                "wide_bushy",
+                strategy,
+                args.processors,
+                cardinality=args.cardinality,
+            )
         closed = run_workload(
             "wide_bushy",
             arrivals="closed",
@@ -534,7 +532,7 @@ def _cmd_perf(args) -> int:
         elapsed = time.perf_counter() - started
         print(
             f"perf bench: {elapsed:.3f}s wall "
-            f"({repeats}x4 strategies @ {args.cardinality} tuples, "
+            f"(4 strategies @ {args.cardinality} tuples, "
             f"{queries}-query closed loop, {closed.fast_path_queries} "
             f"fast-pathed, {len(overlapped.records)}-query "
             f"open loop with up to {overlapped.peak_in_flight} in flight, "
@@ -745,16 +743,13 @@ def build_parser() -> argparse.ArgumentParser:
         "perf",
         help="micro-bench of the solo, single-occupancy and overlapped "
              "(fast-pathed per processor share) paths, optionally under "
-             "cProfile (committed numbers come from "
-             "benchmarks/bench_perf.py and benchmarks/ladder)",
+             "cProfile (committed numbers come from benchmarks/ladder)",
     )
     p.add_argument("--profile", action="store_true",
                    help="wrap the bench in cProfile and print the "
                         "hottest functions by cumulative time")
     p.add_argument("--top", type=int, default=25,
                    help="profile rows to print (with --profile)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="simulator runs per strategy")
     p.add_argument("--cardinality", type=int, default=2000,
                    help="tuples per relation")
     p.add_argument("--processors", type=int, default=40,

@@ -82,7 +82,7 @@ from .placement import (
     predict_service_time,
     ring_lookup_live,
 )
-from .router import ClusterResult, ShardReport, shard_seed
+from .router import ClusterResult, ShardReport, _latency_stats
 
 #: Base cluster-level retry backoff in simulated seconds; retry k of a
 #: query waits ``RETRY_BACKOFF * 2**(k-1)`` after its abort.
@@ -418,15 +418,9 @@ class ResilientClusterResult(ClusterResult):
     def latency_stats(self, shard=None) -> Dict[str, Optional[float]]:
         if shard is not None:
             return super().latency_stats(shard)
-        values = [r.latency for r in self.records if r.completed is not None]
-        if not values:
-            return {"mean": None, "p50": None, "p95": None, "p99": None}
-        return {
-            "mean": ordered_sum(values) / len(values),
-            "p50": percentile(values, 50.0),
-            "p95": percentile(values, 95.0),
-            "p99": percentile(values, 99.0),
-        }
+        return _latency_stats(
+            [r.latency for r in self.records if r.completed is not None]
+        )
 
     def summary(self) -> str:
         text = super().summary()

@@ -7,7 +7,8 @@ materialized-result strategies only lose the task that was running.
 A :class:`ResiliencePoint` condenses one faulted workload run into the
 numbers that comparison needs, and :func:`fault_rate_sweep` produces
 one goodput-degradation curve per strategy for the CLI, the HTML
-report, and ``benchmarks/bench_faults.py``.
+report, and the resilience table ``benchmarks/bench_faults.py``
+writes.
 """
 
 from __future__ import annotations

@@ -344,10 +344,11 @@ def cluster_html(points: List[Dict]) -> str:
 
 
 def cluster_resilience_html(points: List[Dict]) -> str:
-    """The cluster-resilience section: per-scenario table from
-    ``benchmarks/bench_resilience.py`` rows (beyond the paper: shard
-    failover, retry budgets and hedged requests on the coordinated
-    cluster)."""
+    """The cluster-resilience section: one table row per scenario dict
+    (``scenario``, ``completed``, ``submitted``, ``goodput`` and
+    optionally ``failed``, ``retained``, ``retries``, ``hedges``,
+    ``hedge_wins``, ``p99``) — beyond the paper: shard failover, retry
+    budgets and hedged requests on the coordinated cluster."""
     parts = [
         "<h2>Beyond the paper — cluster resilience under shard "
         "failure</h2>",

@@ -22,7 +22,7 @@ goodput-vs-load curve collapses past the saturation knee.  A
 :func:`overload_sweep` drives the load axis past the knee for each
 strategy and shedding configuration and reduces every cell to an
 :class:`OverloadPoint` — the input of the report's overload section
-and of ``benchmarks/bench_overload.py``.
+and of the goodput table ``benchmarks/bench_overload.py`` writes.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ deadline, per-tenant queue/concurrency caps, optional open-loop
 rate).  :func:`fairness_sweep` drives the isolation story —
 one abusive tenant at a multiple of its fair rate against one
 well-behaved tenant — and reduces every cell to a
-:class:`FairnessPoint` for the report and
-``benchmarks/bench_fairness.py``.
+:class:`FairnessPoint` for the report's fairness section and the
+isolation assertions of ``benchmarks/bench_fairness.py``.
 """
 
 from __future__ import annotations

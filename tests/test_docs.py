@@ -31,11 +31,18 @@ class TestReadme:
 
 class TestDesignIndex:
     def test_benchmarks_mentioned_exist(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        for match in set(re.findall(r"benchmarks/(bench_\w+\.py)", text)):
-            assert (ROOT / "benchmarks" / match).exists(), (
-                f"DESIGN.md references missing benchmarks/{match}"
-            )
+        """No doc or CI step names a deleted benchmark script."""
+        for doc in (
+            "DESIGN.md",
+            "README.md",
+            ".claude/skills/verify/SKILL.md",
+            ".github/workflows/ci.yml",
+        ):
+            text = (ROOT / doc).read_text()
+            for match in set(re.findall(r"benchmarks/(bench_\w+\.py)", text)):
+                assert (ROOT / "benchmarks" / match).exists(), (
+                    f"{doc} references missing benchmarks/{match}"
+                )
 
     def test_all_figure_benches_indexed(self):
         text = (ROOT / "DESIGN.md").read_text()
