@@ -61,6 +61,7 @@ chaos harness (:mod:`repro.cluster.chaos`) asserts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -73,6 +74,7 @@ from ..sim.watchdog import (
     Watchdog,
     WatchdogError,
 )
+from ..workload.engine import _Admissions, _FastPathMiss
 from ..workload.lifecycle import deadline_rng, resolve_deadline
 from ..workload.metrics import percentile
 from ..workload.mix import QuerySpec
@@ -91,6 +93,13 @@ RETRY_BACKOFF = 0.5
 #: Fallback hedging/busy-until estimate for a spec the analytic model
 #: cannot cost (mirrors placement's ``_FALLBACK_SERVICE``).
 _FALLBACK_SERVICE = 1.0
+
+_INF = float("inf")
+
+#: Whole-cluster reruns :func:`run_resilient_cluster` made because a
+#: hedge sibling it speculated on acted first (process-wide; read by
+#: tests — no result carries it).
+speculation_reruns = 0
 
 
 def _policy_from(cls, value, name: str):
@@ -455,6 +464,7 @@ class ResilientCluster:
         throttle=None,
         failover: bool = True,
         watchdog_limit: Optional[int] = DEFAULT_MAX_EVENTS_PER_INSTANT,
+        _speculate: bool = True,
     ):
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
@@ -508,6 +518,10 @@ class ResilientCluster:
         # the cluster-level shard faults — a shard can lose processor 3
         # *and* later crash entirely.
         engine_faults = resolve_shard_faults(options["faults"], shards)
+        # The fast-path twin rule is clock-wide: every completion reaches
+        # the router's shared state (hedge percentiles, breakers,
+        # slowdowns), so twins on different shards do not commute.
+        admissions = _Admissions()
         self.engines = []
         for shard in range(shards):
             engine = _build_engine(
@@ -521,7 +535,14 @@ class ResilientCluster:
                 clock=self.clock,
                 on_query_done=self._make_done_hook(shard),
             )
+            engine._admissions = admissions
+            engine._host_barrier = self._make_barrier_hook(shard)
             self.engines.append(engine)
+        # Assume a queued hedge sibling does not act first (see
+        # :meth:`_attempt_barrier`).
+        self._speculate = _speculate
+        # Per shard, the sorted instants its scheduled crashes fire.
+        self._crash_times: List[List[float]] = [[] for _ in range(shards)]
 
         self.alive = set(range(shards))
         self._ring = build_ring(shards)
@@ -572,10 +593,13 @@ class ResilientCluster:
             if not 0 <= crash.processor < self.shards:
                 continue
             self.clock.at(crash.at, self._shard_crash, crash.processor)
+            self._crash_times[crash.processor].append(crash.at)
             if crash.repair_at is not None:
                 self.clock.at(
                     crash.repair_at, self._shard_repair, crash.processor
                 )
+        for times in self._crash_times:
+            times.sort()
         for stall in schedule.stalls:
             if not 0 <= stall.processor < self.shards:
                 continue
@@ -896,6 +920,54 @@ class ResilientCluster:
             for shard, record in logical.attempt_records
         )
 
+    # -- fast-path barrier ------------------------------------------------
+
+    def _make_barrier_hook(self, shard: int):
+        def hook(record):
+            return self._attempt_barrier(shard, record)
+
+        return hook
+
+    def _attempt_barrier(self, shard: int, record) -> Optional[float]:
+        """What the coordinator can do to an attempt starting on a
+        claimed share of ``shard`` now: the time before which its
+        fast-path epoch must complete, or ``None`` to keep it classic.
+
+        Two actors reach a running attempt from outside its engine: a
+        crash of its shard, and a sibling attempt of the same logical
+        query whose completion (or shed) cancels it.  Siblings exist
+        only from the primary's dispatch on — retries and reroutes wait
+        until no attempt is live — so each one is in one of three states
+        here.  Fast-pathed, it has committed its completion: the barrier.
+        Running classic, its completion is unknown: stay classic.  Still
+        queued, or admitted with its own decision still to come, it is
+        *speculated on*: assumed not to act on this attempt before it
+        completes.  When that fails — say ``drop_oldest`` evicts the
+        queued sibling at a later arrival, and the router cancels its
+        mate — the engine's abort guard raises :class:`_FastPathMiss`,
+        and :func:`run_resilient_cluster` reruns the whole cluster with
+        ``_speculate`` off, where such a sibling keeps the attempt
+        classic and nothing is left to miss."""
+        now = self.clock.now
+        crashes = self._crash_times[shard]
+        position = bisect_left(crashes, now)
+        barrier = crashes[position] if position < len(crashes) else _INF
+        logical = self._attempt_of[(shard, record.index)]
+        for other, sibling in logical.attempt_records:
+            engine = self.engines[other]
+            if sibling is record or engine._terminal(sibling):
+                continue
+            entry = engine._active.get(sibling.index)
+            if entry is None or entry[1].on_start is not None:
+                if not self._speculate:
+                    return None
+                continue
+            finished_at = entry[1].finished_at
+            if finished_at is None:
+                return None
+            barrier = min(barrier, finished_at)
+        return barrier
+
     # -- attempt outcomes -------------------------------------------------
 
     def _make_done_hook(self, shard: int):
@@ -1117,21 +1189,36 @@ def run_resilient_cluster(
     inherently serial — and therefore trivially identical at any
     worker count.  Parallelism lives one level up, in the chaos
     harness's campaign points (:mod:`repro.cluster.chaos`).
+
+    Fast-path epochs speculate that a queued hedge sibling does not act
+    on them first (:meth:`ResilientCluster._attempt_barrier`); on a
+    miss the run is thrown away and repeated once without speculation,
+    whose output the first run would have had.
     """
+    global speculation_reruns
     del workers
-    cluster = ResilientCluster(
-        shards=shards,
-        engine_options=engine_options,
-        placement=placement,
-        shard_faults=shard_faults,
-        retry_budget=retry_budget,
-        hedge=hedge,
-        breaker=breaker,
-        throttle=throttle,
-        failover=failover,
-        watchdog_limit=engine_options["watchdog_limit"],
-    )
-    return cluster.run(open_arrivals)
+
+    def run(speculate: bool) -> ResilientClusterResult:
+        cluster = ResilientCluster(
+            shards=shards,
+            engine_options=engine_options,
+            placement=placement,
+            shard_faults=shard_faults,
+            retry_budget=retry_budget,
+            hedge=hedge,
+            breaker=breaker,
+            throttle=throttle,
+            failover=failover,
+            watchdog_limit=engine_options["watchdog_limit"],
+            _speculate=speculate,
+        )
+        return cluster.run(open_arrivals)
+
+    try:
+        return run(True)
+    except _FastPathMiss:
+        speculation_reruns += 1
+        return run(False)
 
 
 __all__ = [

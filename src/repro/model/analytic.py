@@ -180,8 +180,8 @@ def forecast_epoch_end(
 ) -> float:
     """Cheap absolute-time completion forecast for a hosted epoch.
 
-    The workload engine uses this to decide whether a just-admitted
-    query is even *worth* attempting on the turbo fast path: if the
+    The workload engine uses this to decide whether a starting query
+    is even *worth* attempting on the turbo fast path: if the
     forecast — deliberately scaled down by ``optimism`` so an
     over-predicting model cannot starve the fast path — already lands
     past the next clock event that can act on the query, the

@@ -144,6 +144,11 @@ class ScheduleSimulation:
         self.start_at = start_at
         self.label_prefix = label_prefix
         self.on_complete = on_complete
+        #: One-shot host hook, called with the simulation when its first
+        #: build event (a release at ``start_at``) dispatches, before the
+        #: run does anything; returning ``True`` means the host ran the
+        #: whole epoch analytically (:func:`repro.sim.turbo.execute_hosted`).
+        self.on_start: Optional[Callable[["ScheduleSimulation"], bool]] = None
         self.finished_at: Optional[float] = None
         self.aborted_reason: Optional[str] = None
         self.aborted_at: Optional[float] = None
@@ -377,6 +382,7 @@ class ScheduleSimulation:
         # Release unbarriered tasks at query start; replay the stored
         # results of reused tasks (they bypass barriers — the work that
         # produced them already happened in the aborted attempt).
+        self._start_handle = None
         for runtime in self.runtimes:
             if runtime.task.index in self.skip_tasks:
                 handle = schedule_event(
@@ -384,6 +390,8 @@ class ScheduleSimulation:
                 )
             elif runtime.remaining_deps == 0:
                 handle = schedule_event(self.start_at, self._release, runtime)
+                if self._start_handle is None:
+                    self._start_handle = handle
             else:
                 continue
             if hosted:
@@ -398,8 +406,10 @@ class ScheduleSimulation:
             )
 
         # Everything scheduled so far is _build's own; anything pushed
-        # after this point (by tests, hosts or tools) disqualifies the
-        # analytic fast path, which only replays _build's events.
+        # after this point (by tests or tools) disqualifies the owned
+        # analytic fast path, which only replays _build's events.  A
+        # hosted run shares its clock, and its host bounds what else can
+        # act on it instead.
         self._build_seq = self.clock._seq
 
     # -- run-time callbacks -------------------------------------------------
@@ -407,6 +417,15 @@ class ScheduleSimulation:
     def _release(self, runtime: _TaskRuntime) -> None:
         if runtime.task.index in self.skip_tasks:
             return  # replayed from memo; completes via _complete_skipped
+        on_start = self.on_start
+        if on_start is not None:
+            # The first release is the first build event to dispatch; its
+            # entry has left the heap, so it is no longer the host's to
+            # cancel.
+            self.on_start = None
+            self._build_handles.remove(self._start_handle)
+            if on_start(self):
+                return
         runtime.released_at = self.clock.now
         for process in runtime.processes:
             process.release()

@@ -118,14 +118,20 @@ Turbo v2 adds three layers on top of the v1 interpreter:
   due before its completion.  Which events can act on it is the
   caller's knowledge: a workload engine that claims the processors for
   the query makes that only cancellations, however many other queries
-  run beside it on other processors; without claims, every pending
-  event.  All arithmetic uses absolute times with ``start_at``
-  baked in — never rebased offsets, because float addition does not
-  associate — so the result is bit-identical to the classic hosted
-  run.  If the computed completion would overlap the caller-supplied
-  event barrier, or the run meets a same-instant tie, every mutation
-  is rolled back and the classic loop proceeds as if turbo had never
-  looked.
+  run beside it on other processors — plus, on a resilient cluster's
+  shared clock, a crash of the query's shard and its hedge siblings;
+  without claims, every pending event.  All arithmetic uses absolute
+  times with ``start_at`` baked in — never rebased offsets, because
+  float addition does not associate — so the result is bit-identical
+  to the classic hosted run.  If the computed completion would overlap
+  the caller-supplied event barrier, or the run meets a same-instant
+  tie, every mutation is rolled back and the classic loop proceeds as
+  if turbo had never looked.  The host takes that decision when the
+  simulation's first build event dispatches
+  (``ScheduleSimulation.on_start``), not when it builds it: by then
+  everything its start instant holds before that event — the rest of
+  the admitting callback, other completions at the same instant — has
+  happened and is visible to the host.
 """
 
 from __future__ import annotations
@@ -310,10 +316,6 @@ def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
         return None
     if getattr(sim, "perturbed", False):
         return None
-    # Events scheduled on the clock after _build's own would interleave
-    # with the analytic run — decline.
-    if sim.clock._seq != getattr(sim, "_build_seq", -1):
-        return None
     network = sim.network
     if network.faults is not None or network.bandwidth != _INF:
         return None
@@ -366,15 +368,20 @@ def _eligible(sim) -> Optional[List[int]]:
         return None
     if clock.now != 0.0 or clock.events_dispatched != 0:
         return None
+    # Events scheduled on the clock after _build's own would interleave
+    # with the analytic run — decline.
+    if clock._seq != getattr(sim, "_build_seq", -1):
+        return None
     return _common_eligible(sim, hosted=False)
 
 
 def _eligible_hosted(sim) -> Optional[List[int]]:
-    """Eligibility for a freshly built *hosted* simulation: external
-    clock at exactly ``start_at``, shared pool with idle processors,
+    """Eligibility for a *hosted* simulation none of whose events has
+    run yet (freshly built, or in its ``on_start`` hook): external clock
+    at exactly ``start_at``, shared pool with idle processors,
     cancellable build events to unwind.  A watchdog is allowed — it
-    only observes dispatches, and the fast path dispatches one
-    completion event per epoch."""
+    only observes dispatches, and an epoch dispatches at most its first
+    build event and its completion."""
     if sim._owns_clock or sim._pool is None:
         return None
     if sim.on_complete is None:
@@ -1160,19 +1167,27 @@ def _rollback(sim, marks: List[Tuple[object, int, float]]) -> None:
 
 
 def execute_hosted(sim, barrier: float) -> Optional[float]:
-    """Analytically execute a freshly built *hosted* simulation as one
-    epoch: from its start to its completion in a single step.
+    """Analytically execute a *hosted* simulation none of whose events
+    has run yet as one epoch: from its start to its completion in a
+    single step.  The workload engine calls it from the simulation's
+    ``on_start`` hook, as its first build event dispatches, so that
+    everything its admission instant holds before that event has
+    happened.
 
     ``barrier`` is the earliest simulated time at which a pending event
-    that can act on this query is due — found by the caller *before*
-    building the simulation, when no entry is the query's own.  The
-    caller vouches that nothing else touches the query's processors or
-    reads its state before its completion event: a query alone on the
-    machine (every pending event is then a barrier), or alone on
-    processors its host claimed for it (only a cancellation is).  If
-    the analytically computed completion lies strictly before the
-    barrier, the state is committed, the simulation's own build events
-    are cancelled, and one completion event is scheduled at the finish
+    that can act on this query is due, the query's own build events
+    aside.  The caller vouches that nothing else touches the query's
+    processors or reads its state before its completion event: a query
+    alone on the machine (every pending event is then a barrier), or
+    alone on processors its host claimed for it (a cancellation is; on
+    a resilient cluster's clock also its shard's next crash and the
+    committed completion of a hedge sibling).  A caller may *speculate*
+    — take a barrier it cannot prove, such as a queued hedge sibling
+    not acting first — as long as it detects the miss (the workload
+    engine's abort guard raises) and discards the run.  If the
+    analytically computed completion lies strictly before the barrier,
+    the state is committed, the simulation's remaining build events are
+    cancelled, and one completion event is scheduled at the finish
     instant to run ``on_complete`` (so the caller's completion logic
     executes at the same clock time as in the classic run, and its
     effects reach other queries only from there).  That event is pushed
@@ -1181,11 +1196,11 @@ def execute_hosted(sim, barrier: float) -> Optional[float]:
     caller also keeps such ties out (the workload engine's structural
     one — twin queries admitted at one instant, finishing at one
     instant — by keeping a query classic when a classic query was
-    admitted at the same instant).
-    Otherwise — or when
-    the run meets a same-instant tie it cannot order — every mutation is
-    rolled back and ``None`` is returned: the classic event loop takes
-    over with the build events still armed.
+    admitted before it at that instant, or any query was admitted onto
+    processors still busy, on any engine of the clock).
+    Otherwise — or when the run meets a same-instant tie it cannot
+    order — every mutation is rolled back and ``None`` is returned: the
+    classic event loop takes over with the build events still armed.
 
     ``clock.events_dispatched`` is deliberately left untouched: the
     classic loop only folds its dispatch count in when ``run()``

@@ -30,10 +30,10 @@ timing, or counts, so an armed watchdog that does not trip is
 invisible to results (the workload engine arms one by default).
 
 It counts *dispatched* events.  A hosted query on the turbo fast path
-(:func:`repro.sim.turbo.execute_hosted`) dispatches one completion
-event instead of its whole run, so a livelock beside it trips at the
-same instant with the same message; only the trailing ring of recent
-events may differ from the classic loop's.
+(:func:`repro.sim.turbo.execute_hosted`) dispatches its first build
+event and one completion event instead of its whole run, so a livelock
+beside it trips at the same instant with the same message; only the
+trailing ring of recent events may differ from the classic loop's.
 """
 
 from __future__ import annotations

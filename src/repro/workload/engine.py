@@ -84,6 +84,45 @@ REJECTED_RETRY_DELAY = 0.1
 _INF = float("inf")
 
 
+class _FastPathMiss(RuntimeError):
+    """An abort reached a fast-path epoch whose completion was already
+    committed past ``now``: an actor its barrier did not bound acted on
+    it.  The resilient cluster lets this happen on purpose when a hedge
+    sibling it speculated on acts first, and reruns without
+    speculating."""
+
+
+class _Admissions:
+    """How the queries admitted at the latest instant went, as the
+    fast-path twin rule needs it (``WorkloadEngine._fast_path_barrier``).
+    Each admission draws an order number; the record keeps the earliest
+    one that went classic at its instant, and the instant a query last
+    started on processors still busy."""
+
+    __slots__ = ("count", "classic_at", "classic_first", "busy_at")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.classic_at = -_INF
+        self.classic_first = 0
+        self.busy_at = -_INF
+
+    def admit(self) -> int:
+        self.count += 1
+        return self.count
+
+    def classic(self, now: float, order: int) -> None:
+        if self.classic_at != now or order < self.classic_first:
+            self.classic_at = now
+            self.classic_first = order
+
+    def holds_back(self, now: float, order: int) -> bool:
+        """Must the query admitted ``order``-th at ``now`` stay classic?"""
+        return self.busy_at == now or (
+            self.classic_at == now and self.classic_first < order
+        )
+
+
 class SharedMachine(MachineView):
     """One simulated machine shared by every query of the workload.
 
@@ -348,12 +387,16 @@ class WorkloadEngine:
         self.fast_path = bool(fast_path)
         #: Queries whose whole epoch replayed analytically.
         self.fast_path_queries = 0
-        self._owns_clock = clock is None
         # Times of the pending ``cancel_at`` events (a min-heap; entries
         # already in the past are dropped lazily).
         self._cancel_times: List[float] = []
-        # The latest instant a query was admitted onto the classic loop.
-        self._classic_admitted_at = -_INF
+        # How this instant's admissions went, for the twin rule; a
+        # coordinator sharing the clock shares one among its engines.
+        self._admissions = _Admissions()
+        # A coordinator sharing the clock bounds what else can act on a
+        # claimed query: ``fn(record) -> time | None`` (see
+        # :meth:`_fast_path_barrier`).
+        self._host_barrier = None
         self.records: List[QueryRecord] = []
         self._queue: Deque[QueryRecord] = deque()
         # record.index -> (record, sim, allocation, memory_bytes)
@@ -484,8 +527,8 @@ class WorkloadEngine:
         query is already terminal (completed, rejected, failed, or
         cancelled) — cancellation is idempotent, never an error.
 
-        On a standalone engine with a claiming policy only
-        :meth:`cancel_at` times hold a running query back from the fast
+        Under a claiming policy only :meth:`cancel_at` times (and a
+        coordinator's own bound) hold a running query back from the fast
         path (see :meth:`_fast_path_barrier`): cancel a running query
         from inside the run through :meth:`cancel_at`, or build the
         engine with ``fast_path=False`` — a call from any other clock
@@ -774,23 +817,14 @@ class WorkloadEngine:
             network=self.machine.network,
         )
         skip = self._credits.get(record.index, frozenset())
-        # Hosted epoch: if no pending event can act on this query before
-        # it completes, its whole epoch can replay on the turbo fast
-        # path instead of draining the event heap.  The barrier must be
-        # found *before* the sim is built — afterwards the queue also
-        # holds the sim's own init/release events.  The analytic
-        # forecast is only a pre-gate against computing runs that would
-        # roll back; ``execute_hosted`` re-checks the exact completion.
-        fp_barrier = None
-        barrier = self._fast_path_barrier(record, allocation)
-        if barrier is not None and now < barrier and (
-            barrier == _INF
-            or forecast_epoch_end(
-                schedule, catalog, now, self.machine.config, self.cost_model
-            )
-            < barrier
+        order = self._admissions.admit()
+        if any(
+            self.machine.processors[ident].busy_until > now
+            for ident in allocation.processors
         ):
-            fp_barrier = barrier
+            # Still finishing an aborted query's chunk: this query starts
+            # out of lock step with its twins (see _fast_path_barrier).
+            self._admissions.busy_at = now
         try:
             sim = ScheduleSimulation(
                 schedule,
@@ -825,77 +859,129 @@ class WorkloadEngine:
             )
         if self.scheduler is not None:
             self.scheduler.admitted(record, now)
-        # All admission bookkeeping is done, so a successful fast path
-        # leaves engine state exactly where the classic loop would at
-        # this instant; a rollback (barrier miss or same-instant tie)
-        # leaves the sim's own events armed and the heap drains it
-        # classically.
+        # Hosted epoch: if no pending event can act on this query before
+        # it completes, its whole epoch can replay on the turbo fast
+        # path instead of draining the event heap.  That is decided when
+        # the sim's first build event dispatches (_start_epoch).
         if (
-            fp_barrier is not None
-            and turbo.execute_hosted(sim, fp_barrier) is not None
+            self.fast_path
+            and self.injector is None
+            and record.deadline is None
+            and not sim.skip_tasks
         ):
-            self.fast_path_queries += 1
+            sim.on_start = (
+                lambda sim, record=record, allocation=allocation, order=order:
+                self._start_epoch(record, allocation, sim, order)
+            )
         else:
-            self._classic_admitted_at = now
+            self._admissions.classic(now, order)
         return "admitted"
 
+    def _start_epoch(
+        self,
+        record: QueryRecord,
+        allocation: Allocation,
+        sim: ScheduleSimulation,
+        order: int,
+    ) -> bool:
+        """The fast-path decision, taken as ``sim``'s first build event
+        dispatches; ``True`` when the whole epoch replayed analytically.
+        All admission bookkeeping is long done, so a successful fast
+        path leaves engine state exactly where the classic loop would; a
+        rollback (barrier miss or same-instant tie) leaves the sim's
+        other build events armed and the heap drains it classically.
+        The analytic forecast is only a pre-gate against computing runs
+        that would roll back; ``execute_hosted`` checks the exact
+        completion."""
+        now = self.machine.clock.now
+        barrier = self._fast_path_barrier(record, allocation, sim, order)
+        if (
+            barrier is not None
+            and now < barrier
+            and (
+                barrier == _INF
+                or forecast_epoch_end(
+                    sim.schedule,
+                    sim.catalog,
+                    now,
+                    self.machine.config,
+                    self.cost_model,
+                )
+                < barrier
+            )
+            and turbo.execute_hosted(sim, barrier) is not None
+        ):
+            self.fast_path_queries += 1
+            return True
+        self._admissions.classic(now, order)
+        return False
+
     def _fast_path_barrier(
-        self, record: QueryRecord, allocation: Allocation
+        self,
+        record: QueryRecord,
+        allocation: Allocation,
+        sim: ScheduleSimulation,
+        order: int,
     ) -> Optional[float]:
         """The earliest pending event that can act on ``record`` once it
         runs on ``allocation``, or ``None`` when its epoch must take the
         classic loop.
 
-        A standalone engine (its own clock, no terminal hook) hands a
-        claimed allocation processors no other query touches until the
-        query's one completion event releases them.  Everything else the
-        engine does — other arrivals, completions, re-arrivals, costed
-        decisions, other records' deadlines, autoscale rechecks and
-        drains — admits, retires or drains *other* queries and commutes
-        with this epoch; only a ``cancel_at`` can act on it.  One order
-        does not commute: a fast-path completion event is pushed at
-        admission, a classic one by the query's last task.  Twins — one
-        spec admitted at one instant — run in lock step and finish at
-        the same instant, so a fast twin admitted after a classic one
-        would complete first where the classic loop completes it second.
-        The query therefore stays classic when a classic query was
-        admitted at this very instant.  A classic twin admitted after it
-        completes after it on both paths, and fast twins complete in
-        admission order, as their classic runs do.  Elsewhere
-        (time-shared ``round_robin`` slices, a coordinator's shared
-        clock whose hook may cancel any query on any completion) the
-        query must be alone on the machine, and every pending event is
-        a barrier."""
-        if (
-            not self.fast_path
-            or self.injector is not None
-            or record.deadline is not None
-            or record.index in self._credits
-        ):
-            return None
-        if (
-            allocation.exclusive
-            and self._owns_clock
-            and self.on_query_done is None
-        ):
-            now = self.machine.clock.now
-            if self._classic_admitted_at == now:
-                return None  # it may have a twin on the classic path
-            cancels = self._cancel_times
-            while cancels and cancels[0] < now:
-                heapq.heappop(cancels)
-            return cancels[0] if cancels else _INF
-        if self._in_flight or self._queue or self._decision_pending:
-            return None
-        return self._earliest_pending_event()
+        A claimed allocation hands the query processors no other query
+        touches until its one completion event releases them.
+        Everything else the engine does — other arrivals, completions,
+        re-arrivals, costed decisions, other records' deadlines,
+        autoscale rechecks and drains — admits, retires or drains
+        *other* queries and commutes with this epoch; of the engine's
+        own events only a ``cancel_at`` can act on it.  A coordinator
+        sharing the clock knows the actors the engine cannot see (the
+        resilient cluster: a crash of the query's shard, a hedge sibling
+        finishing first) and adds their bound through ``_host_barrier``,
+        or ``None`` to keep the query classic.
 
-    def _earliest_pending_event(self) -> float:
-        """Earliest live event on the shared clock — the barrier before
-        which a hosted fast-path epoch must fully complete.  Cancelled
-        entries are lazily deleted tombstones and cannot fire."""
+        One order does not commute: a fast-path completion event is
+        pushed when the epoch starts, a classic one by the query's last
+        task.  Twins — one spec admitted at one instant — run in lock
+        step and finish at the same instant, and in admission order.  So
+        the query stays classic when a query admitted before it at this
+        instant went classic (it would complete first where the classic
+        loop completes it second), and when any query admitted at this
+        instant started on processors still finishing an aborted
+        query's chunk (late for its first chunks, such a twin can catch
+        up and finish first).  The decision waits for the query's first
+        build event so that both are known for everything its admitting
+        callback did after it — a hedge winner's engine admits its next
+        query *before* the router cancels the loser and the loser's
+        engine admits onto the still-busy processors.  The record of
+        both (``_admissions``) is shared by every engine on the clock.
+
+        Time-shared ``round_robin`` slices claim nothing: the query must
+        be alone on the machine, and every pending event but its own
+        build events is a barrier."""
+        now = self.machine.clock.now
+        if self._admissions.holds_back(now, order):
+            return None
+        if not allocation.exclusive:
+            if self._in_flight > 1 or self._queue or self._decision_pending:
+                return None
+            return self._earliest_pending_event(set(sim._build_handles))
+        cancels = self._cancel_times
+        while cancels and cancels[0] < now:
+            heapq.heappop(cancels)
+        barrier = cancels[0] if cancels else _INF
+        if self._host_barrier is None:
+            return barrier
+        host = self._host_barrier(record)
+        return None if host is None else min(barrier, host)
+
+    def _earliest_pending_event(self, own) -> float:
+        """Earliest live event on the shared clock other than the
+        ``own`` handles — the barrier before which a hosted fast-path
+        epoch must fully complete.  Cancelled entries are lazily
+        deleted tombstones and cannot fire."""
         earliest = _INF
         for time, _seq, handle, _fn, _args in self.machine.clock._queue:
-            if handle is not None and handle.cancelled:
+            if handle is not None and (handle.cancelled or handle in own):
                 continue
             if time < earliest:
                 earliest = time
@@ -1000,7 +1086,7 @@ class WorkloadEngine:
         if sim.finished_at is not None and sim.finished_at > now:
             # Only a fast-path epoch holds its completion ahead of the
             # clock, and its barrier was supposed to exclude this actor.
-            raise RuntimeError(
+            raise _FastPathMiss(
                 f"query {record.index} aborted at t={now!r} ({reason}) "
                 "after its fast-path epoch committed completion at "
                 f"t={sim.finished_at!r}: an event the fast-path barrier "

@@ -68,21 +68,24 @@ class TestPerf:
                 out,
             )
             assert loops and int(loops.group(3)) > 1
-            hosted = int(re.search(r"'hosted_runs': (\d+)", out).group(1))
-            closed, queries, _peak, fast = map(int, loops.groups())
-            return out, closed, queries, fast, hosted
+            hosted, rollbacks, ties = (
+                int(re.search(rf"'{name}': (\d+)", out).group(1))
+                for name in ("hosted_runs", "hosted_rollbacks", "tie_declines")
+            )
+            closed, _queries, _peak, fast = map(int, loops.groups())
+            return out, closed, fast, hosted, rollbacks, ties
 
-        out, closed, queries, fast, hosted = bench()
+        out, closed, fast, hosted, rollbacks, ties = bench()
         assert closed == 8  # single occupancy: every epoch fast-paths
         assert fast > 0
-        # The closed loop's 8 epochs plus every open-loop attempt.
-        assert 8 + fast <= hosted <= 8 + queries
+        # Every attempted epoch commits, rolls back or declines a tie.
+        assert hosted == 8 + fast + rollbacks + ties
         runs, splices = (
             int(re.search(rf"'sibling_{name}': (\d+)", out).group(1))
             for name in ("runs", "splices")
         )
         assert 0 < splices <= runs  # attempts printed beside useful outcomes
-        _out, closed, _queries, fast, hosted = bench("--no-fast-path")
+        _out, closed, fast, hosted, _rollbacks, _ties = bench("--no-fast-path")
         assert closed == fast == hosted == 0
 
 

@@ -6,9 +6,11 @@ heap, whenever no pending event can act on the query before it
 completes.  Under a claiming allocation (``exclusive``, ``guideline``)
 on a standalone engine that is every query alone on *its* processors,
 however many others run beside it; a ``cancel_at`` landing mid-run,
-or a classic twin admitted at the same instant, keeps it classic.
-Time-shared ``round_robin`` slices and
-coordinated clusters still need the query alone on the machine.  The
+or a classic twin admitted before it at the same instant, keeps it
+classic.  On a coordinated cluster's shared clock the coordinator adds
+its shard's crashes and its hedge siblings
+(``tests/cluster/test_cluster_fast_path.py``).  Time-shared
+``round_robin`` slices still need the query alone on the machine.  The
 contract is the house invariant: the fast path is pure performance, so
 every row, float, and ordering must be byte-identical with the fast
 path on or off, at every worker count, across knob combinations.
