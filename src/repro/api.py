@@ -577,7 +577,8 @@ def run_cluster(
         shard with the earliest analytic busy-until forecast;
         ``"round_robin"`` — submission order modulo shard count.
         Closed-loop traffic splits its *clients* round-robin instead
-        (there is no global arrival stream to place).
+        (there is no global arrival stream to place); a shard left
+        without a client still reports, empty.
     ``autoscale`` / ``scale_max`` / ``scale_min`` / ``scale_cooldown``
         Per-shard elasticity (:data:`repro.cluster.AUTOSCALE_NAMES`):
         ``"static"`` pins every shard at ``machine_size``;
@@ -591,7 +592,9 @@ def run_cluster(
         running queries.
     ``workers``
         Fan the shards over a process pool (the output is byte-identical
-        to the serial run; reports merge in shard order).
+        to the serial run; reports merge in shard order).  It has no
+        effect on the coordinated path below, whose shards share one
+        clock.
     ``faults`` / ``recovery`` / ``max_retries`` / ``retry_backoff``
         Engine-level (processor) fault injection, per shard: a single
         :class:`~repro.faults.FaultSchedule` applies to every shard, a
@@ -623,7 +626,12 @@ def run_cluster(
     """
     given = dict(locals())
     _reject_unknown_keywords("run_cluster", unknown, RUN_CLUSTER_KEYWORDS)
-    from .cluster import DEFAULT_COOLDOWN, Trace, run_cluster_shards
+    from .cluster import (
+        DEFAULT_COOLDOWN,
+        Trace,
+        run_cluster_shards,
+        run_resilient_cluster,
+    )
 
     mix = _resolve_mix(mix_or_shape, strategy, cardinality, relations)
     shard_options = _engine_options(given)
@@ -645,16 +653,28 @@ def run_cluster(
                 "resilience and autoscale cannot combine: the "
                 "coordinated cluster runs static shards"
             )
-        from .cluster import run_resilient_cluster
-
-        if trace is not None:
-            if not isinstance(trace, Trace):
-                trace = Trace.read(trace)
-            pairs = trace.arrivals()
-        else:
-            pairs = _open_pairs(
-                mix, tenant_map, arrivals, rate, duration, seed
+    pairs = closed = None
+    if trace is not None:
+        if arrivals == "closed":
+            raise ValueError(
+                "a trace replays as an open-loop stream; it cannot be "
+                "combined with arrivals='closed'"
             )
+        if not isinstance(trace, Trace):
+            trace = Trace.read(trace)
+        pairs = trace.arrivals()
+    elif arrivals == "closed":
+        closed = {
+            "mix": mix,
+            "clients": clients,
+            "think_time": think_time,
+            "queries_per_client": queries_per_client,
+            "duration": duration,
+            "seed": seed,
+        }
+    else:
+        pairs = _open_pairs(mix, tenant_map, arrivals, rate, duration, seed)
+    if resilient:
         return run_resilient_cluster(
             open_arrivals=pairs,
             shards=shards,
@@ -666,9 +686,10 @@ def run_cluster(
             breaker=breaker,
             throttle=throttle,
             failover=True if failover is None else failover,
-            workers=workers,
         )
-    common = dict(
+    return run_cluster_shards(
+        open_arrivals=pairs,
+        closed=closed,
         shards=shards,
         placement=placement,
         autoscale=autoscale,
@@ -679,38 +700,6 @@ def run_cluster(
             DEFAULT_COOLDOWN if scale_cooldown is None else scale_cooldown
         ),
         workers=workers,
-        placement_context={
-            "machine_size": machine_size,
-            "config": config,
-            "cost_model": cost_model,
-        },
-    )
-    if trace is not None:
-        if arrivals == "closed":
-            raise ValueError(
-                "a trace replays as an open-loop stream; it cannot be "
-                "combined with arrivals='closed'"
-            )
-        if not isinstance(trace, Trace):
-            trace = Trace.read(trace)
-        return run_cluster_shards(open_arrivals=trace.arrivals(), **common)
-    if arrivals == "closed":
-        return run_cluster_shards(
-            closed={
-                "mix": mix,
-                "clients": clients,
-                "think_time": think_time,
-                "queries_per_client": queries_per_client,
-                "duration": duration,
-                "seed": seed,
-            },
-            **common,
-        )
-    return run_cluster_shards(
-        open_arrivals=_open_pairs(
-            mix, tenant_map, arrivals, rate, duration, seed
-        ),
-        **common,
     )
 
 

@@ -1,31 +1,37 @@
 """Sharded serving: a shared-nothing cluster of workload engines.
 
-The subsystem has three pieces (DESIGN.md §7d):
+One routing core — placement, the analytic load forecast, query
+records and result counting — runs in two execution modes, chosen by
+whether any reactive policy (failover, retry, hedge, breaker,
+throttle) is set (DESIGN.md §7d, §7e):
 
 :mod:`repro.cluster.router`
-    The front-end — fans an arrival stream over N independent
-    :class:`~repro.workload.WorkloadEngine` shards and merges the
-    per-shard reports into a :class:`ClusterResult`.
+    The pre-routed mode — places the whole arrival stream up front,
+    fans it over N independent :class:`~repro.workload.WorkloadEngine`
+    shards and merges the per-shard reports into a
+    :class:`ClusterResult`.
+
+:mod:`repro.cluster.placement` / :mod:`repro.cluster.autoscale`
+    The routing and elasticity policies: consistent tenant→shard
+    hashing (plus ``least_loaded`` and ``round_robin``) over a pool of
+    usable shards, the :class:`~repro.cluster.placement.LoadForecast`
+    they and the autoscaler share, and ``reactive``/``predictive`` autoscalers that grow and
+    shrink a shard's pool in simulated time through the fault/repair
+    machinery.
+
+:mod:`repro.cluster.resilience` / :mod:`repro.cluster.chaos`
+    The coordinated mode (DESIGN.md §7e): the same placement asked
+    live on one shared clock, with reactions layered on top — shard
+    failover, retry budgets, hedged requests, circuit breakers, and
+    per-tenant rate SLOs — plus the seeded chaos-campaign harness that
+    sweeps fault schedules over cluster shapes, asserts
+    conservation/watchdog/determinism invariants, and delta-debugs
+    failing schedules down to minimal regression fixtures.
 
 :mod:`repro.cluster.trace`
     Deterministic trace record/replay — a frozen, JSON-round-trippable
     :class:`Trace` recorded from any workload run or synthesized at
     scale over a process pool, replayable bit for bit.
-
-:mod:`repro.cluster.placement` / :mod:`repro.cluster.autoscale`
-    The routing and elasticity policies: consistent tenant→shard
-    hashing (plus ``least_loaded`` and ``round_robin``), and
-    ``reactive``/``predictive`` autoscalers that grow and shrink a
-    shard's pool in simulated time through the fault/repair machinery.
-
-:mod:`repro.cluster.resilience` / :mod:`repro.cluster.chaos`
-    Cluster-grade resilience (DESIGN.md §7e): the coordinated
-    single-clock mode with shard failover, retry budgets, hedged
-    requests, circuit breakers, and per-tenant rate SLOs — plus the
-    seeded chaos-campaign harness that sweeps fault schedules over
-    cluster shapes, asserts conservation/watchdog/determinism
-    invariants, and delta-debugs failing schedules down to minimal
-    regression fixtures.
 
 The user-facing entry points are :func:`repro.api.run_cluster` and
 ``python -m repro cluster``.

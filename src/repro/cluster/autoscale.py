@@ -27,10 +27,10 @@ Policies (:data:`AUTOSCALE_NAMES`):
 
 ``predictive``
     Jumps straight to the forecasted need: the analytic Section 3
-    model prices every queued and running query
-    (:func:`~repro.cluster.placement.predict_service_time`, cached per
-    spec), and the target capacity is what clears that backlog within
-    one cooldown window.
+    model prices every queued and running query (the router's
+    :class:`~repro.cluster.placement.LoadForecast` estimate), and the
+    target capacity is what clears that backlog within one cooldown
+    window.
 
 Decisions fire only at event instants (arrivals and completions), so
 they are deterministic; when a needed scale-up is blocked by the
@@ -46,8 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.numeric import ordered_sum
 from ..workload.engine import WorkloadEngine
-from ..workload.mix import QuerySpec
-from .placement import _FALLBACK_SERVICE, predict_service_time
+from .placement import LoadForecast
 
 #: The autoscaling policies :func:`make_autoscaler` accepts.
 AUTOSCALE_NAMES = ("static", "reactive", "predictive")
@@ -137,35 +136,23 @@ class PredictiveAutoscaler(Autoscaler):
         if window is not None and window <= 0:
             raise ValueError("window must be positive")
         self.window = window
-        self._estimates: Dict[QuerySpec, float] = {}
 
     def prepare(self, engine: "ElasticEngine") -> None:
         if self.window is None:
             self.window = engine.scale_cooldown
-
-    def _estimate(self, engine: "ElasticEngine", spec: QuerySpec) -> float:
-        if spec not in self._estimates:
-            estimate = predict_service_time(
-                spec,
-                engine.scale_max,
-                engine.machine.config,
-                engine.cost_model,
-            )
-            self._estimates[spec] = (
-                estimate if estimate is not None else _FALLBACK_SERVICE
-            )
-        return self._estimates[spec]
+        self.forecast = LoadForecast(
+            machine_size=engine.scale_max,
+            config=engine.machine.config,
+            cost_model=engine.cost_model,
+        )
 
     def desired(
         self, engine: "ElasticEngine", now: float
     ) -> Optional[Tuple[int, str]]:
-        backlog = ordered_sum(
-            self._estimate(engine, record.spec)
-            for record in engine._queue
-        )
+        estimate = self.forecast.estimate
+        backlog = ordered_sum(estimate(r.spec) for r in engine._queue)
         running = ordered_sum(
-            self._estimate(engine, record.spec)
-            for record, *_ in engine._active.values()
+            estimate(record.spec) for record, *_ in engine._active.values()
         )
         forecast = backlog + running
         slots = math.ceil(forecast / self.window) if forecast > 0 else 0

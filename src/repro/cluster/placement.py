@@ -1,8 +1,11 @@
 """Tenant-to-shard placement policies.
 
-The router assigns every arriving query to one of N shards before any
-shard starts simulating, so placement must be a pure function of the
-arrival stream — never of simulated execution state.  Three policies:
+The pre-routed router assigns every arriving query to one of N shards
+before any shard starts simulating, so placement must be a pure
+function of the arrival stream — never of simulated execution state.
+The coordinated router (:mod:`repro.cluster.resilience`) asks the same
+policies live, restricted to the shards it may use right now; with
+every shard usable both routers pick the same shard.  Three policies:
 
 ``hash``
     A consistent-hash ring over SHA-1 digests (never Python's
@@ -16,8 +19,8 @@ arrival stream — never of simulated execution state.  Three policies:
     Tracks an analytic occupancy forecast per shard: each placement
     advances the chosen shard's forecasted busy-until horizon by the
     query's predicted service time (the Section 3 cost model at
-    advised parallelism, cached per spec).  Ties break to the lowest
-    shard index, so tied forecasts place deterministically.
+    advised parallelism, :class:`LoadForecast`).  Ties break to the
+    lowest shard index, so tied forecasts place deterministically.
 
 ``round_robin``
     Submission order modulo the shard count.
@@ -27,8 +30,9 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..model import analytic
 from ..workload.mix import QuerySpec
 
 #: The placement policies :func:`make_placement` accepts.
@@ -43,6 +47,10 @@ RING_REPLICAS = 64
 #: cannot cost (infeasible plans are rejected at admission anyway).
 _FALLBACK_SERVICE = 1.0
 
+#: Analytic response time of a spec at advised parallelism on a shard
+#: of a given size (``None`` when infeasible) — the model's own function.
+predict_service_time = analytic.predict_spec_service_time
+
 
 def _digest(key: str) -> int:
     """Stable 64-bit hash point (SHA-1 prefix) — identical across
@@ -52,8 +60,67 @@ def _digest(key: str) -> int:
     )
 
 
+class LoadForecast:
+    """The router's one analytic load forecast.
+
+    ``estimate`` is the Section 3 service time of a spec at advised
+    parallelism on a ``machine_size`` shard
+    (:func:`~repro.model.analytic.predict_spec_service_time`, charged
+    :data:`_FALLBACK_SERVICE` when no plan fits), cached per query
+    class: the model reads only the spec's shape, cardinality, strategy
+    and relation count, so tenant and deadline never split the cache.
+    ``book`` advances a shard's busy-until horizon by that estimate
+    (``max(busy_until, now) + estimate``).  It serves ``least_loaded``
+    placement, the coordinated router's hedge trigger, and the
+    ``predictive`` autoscaler.
+    """
+
+    def __init__(
+        self,
+        shards: int = 0,
+        machine_size: int = 40,
+        config=None,
+        cost_model=None,
+    ):
+        self.machine_size = machine_size
+        self.config = config
+        self.cost_model = cost_model
+        self.busy_until = [0.0] * shards
+        self._estimates: Dict[Tuple, float] = {}
+
+    def estimate(self, spec: QuerySpec) -> float:
+        key = (spec.shape, spec.cardinality, spec.strategy, spec.relations)
+        estimate = self._estimates.get(key)
+        if estimate is None:
+            estimate = analytic.predict_spec_service_time(
+                spec, self.machine_size, self.config, self.cost_model
+            )
+            if estimate is None:
+                estimate = _FALLBACK_SERVICE
+            self._estimates[key] = estimate
+        return estimate
+
+    def book(self, shard: int, now: float, spec: QuerySpec) -> None:
+        self.busy_until[shard] = (
+            max(self.busy_until[shard], now) + self.estimate(spec)
+        )
+
+    def least_loaded(self, pool: Iterable[int], now: float) -> int:
+        """The shard of ``pool`` (ascending) with the earliest horizon;
+        ``min`` is stable, so tied forecasts go to the lowest index."""
+        return min(pool, key=lambda s: max(self.busy_until[s], now))
+
+
 class PlacementPolicy:
-    """Base: stateful per-run, deterministic, reset before each run."""
+    """Base: stateful per-run, deterministic, reset before each run.
+
+    ``choose`` picks among a pool of shards (ascending indices) and
+    changes nothing; the coordinated router calls it with its live
+    pool.  ``place`` is the pre-routed step: choose among every shard,
+    then commit the arrival there.  ``context`` sizes the
+    :class:`LoadForecast` every policy carries (``machine_size``,
+    ``config``, ``cost_model``).
+    """
 
     name = "base"
 
@@ -61,13 +128,26 @@ class PlacementPolicy:
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
         self.shards = shards
+        context = context or {}
+        self.forecast = LoadForecast(
+            shards,
+            context.get("machine_size", 40),
+            context.get("config"),
+            context.get("cost_model"),
+        )
+
+    def choose(
+        self, index: int, arrival: float, spec: QuerySpec, pool
+    ) -> int:
+        raise NotImplementedError
 
     def place(self, index: int, arrival: float, spec: QuerySpec) -> int:
-        raise NotImplementedError
+        return self.choose(index, arrival, spec, range(self.shards))
 
 
 class HashPlacement(PlacementPolicy):
-    """Consistent tenant→shard hashing with virtual nodes."""
+    """Consistent tenant→shard hashing with virtual nodes; a key whose
+    owner is outside the pool walks clockwise to the next one in it."""
 
     name = "hash"
 
@@ -78,8 +158,10 @@ class HashPlacement(PlacementPolicy):
     def key_of(self, index: int, spec: QuerySpec) -> str:
         return spec.tenant if spec.tenant is not None else f"query:{index}"
 
-    def place(self, index: int, arrival: float, spec: QuerySpec) -> int:
-        return ring_lookup(self._ring, self.key_of(index, spec))
+    def choose(
+        self, index: int, arrival: float, spec: QuerySpec, pool
+    ) -> int:
+        return ring_lookup_live(self._ring, self.key_of(index, spec), pool)
 
 
 class LeastLoadedPlacement(PlacementPolicy):
@@ -88,45 +170,30 @@ class LeastLoadedPlacement(PlacementPolicy):
 
     name = "least_loaded"
 
-    def reset(self, shards: int, context: Optional[Dict] = None) -> None:
-        super().reset(shards, context)
-        context = context or {}
-        self._machine_size = context.get("machine_size", 40)
-        self._config = context.get("config")
-        self._cost_model = context.get("cost_model")
-        self._busy_until = [0.0] * shards
-        self._estimates: Dict[QuerySpec, float] = {}
-
-    def _estimate(self, spec: QuerySpec) -> float:
-        if spec in self._estimates:
-            return self._estimates[spec]
-        estimate = predict_service_time(
-            spec, self._machine_size, self._config, self._cost_model
-        )
-        if estimate is None:
-            estimate = _FALLBACK_SERVICE
-        self._estimates[spec] = estimate
-        return estimate
+    def choose(
+        self, index: int, arrival: float, spec: QuerySpec, pool
+    ) -> int:
+        return self.forecast.least_loaded(pool, arrival)
 
     def place(self, index: int, arrival: float, spec: QuerySpec) -> int:
-        # min() is stable: on tied forecasts the lowest index wins.
-        shard = min(
-            range(self.shards),
-            key=lambda s: max(self._busy_until[s], arrival),
-        )
-        self._busy_until[shard] = (
-            max(self._busy_until[shard], arrival) + self._estimate(spec)
-        )
+        shard = super().place(index, arrival, spec)
+        self.forecast.book(shard, arrival, spec)
         return shard
 
 
 class RoundRobinPlacement(PlacementPolicy):
-    """Submission order modulo the shard count."""
+    """Submission order modulo the shard count; a slot outside the
+    pool passes to the next shard in it."""
 
     name = "round_robin"
 
-    def place(self, index: int, arrival: float, spec: QuerySpec) -> int:
-        return index % self.shards
+    def choose(
+        self, index: int, arrival: float, spec: QuerySpec, pool
+    ) -> int:
+        shard = index % self.shards
+        while shard not in pool:
+            shard = (shard + 1) % self.shards
+        return shard
 
 
 def make_placement(policy) -> PlacementPolicy:
@@ -198,23 +265,3 @@ def ring_assignments(keys, shards: int) -> Dict[str, int]:
     test's helper (compare assignments at N and N+1 shards)."""
     ring = build_ring(shards)
     return {key: ring_lookup(ring, key) for key in keys}
-
-
-# -- the analytic service-time forecast -----------------------------------
-
-
-def predict_service_time(
-    spec: QuerySpec,
-    machine_size: int,
-    config=None,
-    cost_model=None,
-) -> Optional[float]:
-    """Analytic response time of ``spec`` at advised parallelism on a
-    ``machine_size`` shard — delegates to
-    :func:`repro.model.analytic.predict_spec_service_time`, where the
-    model lives alongside the other Section 3 forecasts.  Returns
-    ``None`` for an infeasible spec.
-    """
-    from ..model.analytic import predict_spec_service_time
-
-    return predict_spec_service_time(spec, machine_size, config, cost_model)

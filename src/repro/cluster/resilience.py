@@ -1,13 +1,17 @@
 """Cluster-grade resilience: shard failover, retries, hedging, SLOs.
 
-The PR 9 router is *pre-routed*: arrivals split across shards before
-any shard simulates, so shards never interact and nothing can react to
-a shard dying.  This module adds the coordinated mode: N workload
-engines hosted on **one** shared :class:`~repro.sim.events.SimulationClock`,
-with a live router between the arrival stream and the shards.  Because
-every cross-shard reaction (failover, re-dispatch, hedging, breaker
-trips) is an ordinary event on the one clock, the whole cluster run
-remains a single deterministic discrete-event simulation.
+The pre-routed router (:mod:`repro.cluster.router`) splits arrivals
+across shards before any shard simulates, so shards never interact and
+nothing can react to a shard dying.  This module adds the coordinated
+mode: N workload engines hosted on **one** shared
+:class:`~repro.sim.events.SimulationClock`, with a live router between
+the arrival stream and the shards.  The router is the pre-routed one's
+core — the same placement policy (asked with the pool of shards it may
+use right now) and the same :class:`~repro.cluster.placement.LoadForecast`
+— with reactions layered on top.  Because every cross-shard reaction
+(failover, re-dispatch, hedging, breaker trips) is an ordinary event on
+the one clock, the whole cluster run remains a single deterministic
+discrete-event simulation.
 
 The resilience primitives (DESIGN.md §7e):
 
@@ -76,23 +80,20 @@ from ..sim.watchdog import (
 )
 from ..workload.engine import _Admissions, _FastPathMiss
 from ..workload.lifecycle import deadline_rng, resolve_deadline
-from ..workload.metrics import percentile
+from ..workload.metrics import QueryRecord, percentile
 from ..workload.mix import QuerySpec
-from .placement import (
-    PLACEMENT_NAMES,
-    build_ring,
-    predict_service_time,
-    ring_lookup_live,
+from .placement import make_placement
+from .router import (
+    ClusterResult,
+    ShardReport,
+    _build_engine,
+    _shard_engine_options,
+    resolve_shard_faults,
 )
-from .router import ClusterResult, ShardReport, _latency_stats
 
 #: Base cluster-level retry backoff in simulated seconds; retry k of a
 #: query waits ``RETRY_BACKOFF * 2**(k-1)`` after its abort.
 RETRY_BACKOFF = 0.5
-
-#: Fallback hedging/busy-until estimate for a spec the analytic model
-#: cannot cost (mirrors placement's ``_FALLBACK_SERVICE``).
-_FALLBACK_SERVICE = 1.0
 
 _INF = float("inf")
 
@@ -273,37 +274,25 @@ class _Breaker:
 
 
 @dataclass
-class ClusterQueryRecord:
+class ClusterQueryRecord(QueryRecord):
     """Lifecycle of one *logical* query through the resilient cluster.
 
-    Mirrors :class:`~repro.workload.metrics.QueryRecord` — one row per
-    logical query regardless of how many shard attempts served it —
-    plus the cluster outcome fields (``shard``, ``dispatches``,
-    ``retries``, ``hedged``, ``hedge_won``).
+    A :class:`~repro.workload.metrics.QueryRecord` — one row per logical
+    query regardless of how many shard attempts served it — plus the
+    cluster outcome fields.  ``attempts``, ``aborts``,
+    ``wasted_seconds`` and ``reused_tasks`` in its row add up over
+    every engine attempt that served it.
     """
 
-    index: int
-    spec: QuerySpec
-    arrival: float
-    deadline: Optional[float] = None
-    tenant: Optional[str] = None
-    admitted: Optional[float] = None
-    completed: Optional[float] = None
-    strategy: Optional[str] = None
-    processors: Tuple[int, ...] = ()
     shard: Optional[int] = None            # shard that decided the outcome
-    rejected: bool = False
-    error: Optional[str] = None
-    failed: bool = False
-    shed: Optional[str] = None
-    cancelled: bool = False
-    deadline_missed: bool = False
     dispatches: int = 0                    # shard dispatches (incl. hedges)
     retries: int = 0                       # budget-consuming re-dispatches
     hedged: bool = False
     hedge_won: bool = False
     #: Every engine attempt serving this query: ``(shard, record)``.
-    attempt_records: List[Tuple[int, object]] = field(default_factory=list)
+    attempt_records: List[Tuple[int, QueryRecord]] = field(
+        default_factory=list
+    )
 
     @property
     def terminal(self) -> bool:
@@ -314,71 +303,25 @@ class ClusterQueryRecord:
             or self.cancelled
         )
 
-    @property
-    def latency(self) -> Optional[float]:
-        if self.completed is None:
-            return None
-        return self.completed - self.arrival
-
-    @property
-    def queue_delay(self) -> Optional[float]:
-        if self.admitted is None:
-            return None
-        return self.admitted - self.arrival
-
-    @property
-    def service_time(self) -> Optional[float]:
-        if self.completed is None or self.admitted is None:
-            return None
-        return self.completed - self.admitted
-
-    def attempts_total(self) -> int:
-        return sum(r.attempts for _, r in self.attempt_records)
-
-    def aborts_all(self) -> List[float]:
-        times = [t for _, r in self.attempt_records for t in r.aborts]
-        return sorted(times)
-
-    def wasted_total(self) -> float:
-        return ordered_sum(r.wasted_seconds for _, r in self.attempt_records)
-
-    def reused_total(self) -> int:
-        return sum(r.reused_tasks for _, r in self.attempt_records)
-
     def row(self) -> Dict:
-        data = {
-            "query": self.index,
-            "client": None,
-            "shape": self.spec.shape,
-            "cardinality": self.spec.cardinality,
-            "relations": self.spec.relations,
-            "strategy_requested": self.spec.strategy,
-            "strategy": self.strategy,
-            "processors": list(self.processors),
-            "arrival": self.arrival,
-            "admitted": self.admitted,
-            "completed": self.completed,
-            "latency": self.latency,
-            "queue_delay": self.queue_delay,
-            "service_time": self.service_time,
-            "rejected": self.rejected,
-            "error": self.error,
-            "attempts": self.attempts_total(),
-            "aborts": self.aborts_all(),
-            "wasted_seconds": self.wasted_total(),
-            "failed": self.failed,
-            "reused_tasks": self.reused_total(),
-            "shed": self.shed,
-            "cancelled": self.cancelled,
-            "deadline_missed": self.deadline_missed,
-            "shard": self.shard,
-            "dispatches": self.dispatches,
-            "retries": self.retries,
-            "hedged": self.hedged,
-            "hedge_won": self.hedge_won,
-        }
-        if self.tenant is not None:
-            data["tenant"] = self.tenant
+        data = super().row()
+        attempts = [record for _, record in self.attempt_records]
+        data.update(
+            attempts=sum(r.attempts for r in attempts),
+            aborts=sorted(t for r in attempts for t in r.aborts),
+            wasted_seconds=ordered_sum(r.wasted_seconds for r in attempts),
+            reused_tasks=sum(r.reused_tasks for r in attempts),
+        )
+        tenant = data.pop("tenant", None)
+        data.update(
+            shard=self.shard,
+            dispatches=self.dispatches,
+            retries=self.retries,
+            hedged=self.hedged,
+            hedge_won=self.hedge_won,
+        )
+        if tenant is not None:
+            data["tenant"] = tenant
         return data
 
 
@@ -388,8 +331,10 @@ class ResilientClusterResult(ClusterResult):
 
     ``shards`` keeps the per-shard attempt-level reports (their rows
     are *attempts*, useful for per-shard telemetry); the logical
-    query population lives in ``records`` and everything user-facing —
-    ``rows()``, counts, latency — is logical.
+    query population lives in ``records``.  ``rows()`` is the one
+    override: every count and the cluster-wide latency of
+    :class:`~repro.cluster.router.ClusterResult` follow it, so they
+    are logical too (``latency_stats(shard=k)`` stays per attempt).
     """
 
     records: List[ClusterQueryRecord] = field(default_factory=list)
@@ -397,39 +342,6 @@ class ResilientClusterResult(ClusterResult):
 
     def rows(self) -> List[Dict]:
         return [record.row() for record in self.records]
-
-    def submitted_count(self) -> int:
-        return len(self.records)
-
-    def completed_count(self) -> int:
-        return sum(1 for r in self.records if r.completed is not None)
-
-    def useful_count(self) -> int:
-        return sum(
-            1
-            for r in self.records
-            if r.completed is not None and not r.deadline_missed
-        )
-
-    def rejected_count(self) -> int:
-        return sum(1 for r in self.records if r.rejected)
-
-    def failed_count(self) -> int:
-        return sum(1 for r in self.records if r.failed)
-
-    def shed_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for r in self.records:
-            if r.shed is not None:
-                counts[r.shed] = counts.get(r.shed, 0) + 1
-        return counts
-
-    def latency_stats(self, shard=None) -> Dict[str, Optional[float]]:
-        if shard is not None:
-            return super().latency_stats(shard)
-        return _latency_stats(
-            [r.latency for r in self.records if r.completed is not None]
-        )
 
     def summary(self) -> str:
         text = super().summary()
@@ -468,11 +380,7 @@ class ResilientCluster:
     ):
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
-        if placement not in PLACEMENT_NAMES:
-            raise ValueError(
-                f"unknown placement policy {placement!r}; expected one "
-                f"of {PLACEMENT_NAMES}"
-            )
+        self._placement = make_placement(placement)
         if retry_budget < 0:
             raise ValueError("retry_budget must be non-negative")
         if shard_faults is not None and not isinstance(
@@ -480,7 +388,7 @@ class ResilientCluster:
         ):
             raise TypeError("shard_faults must be a FaultSchedule")
         self.shards = shards
-        self.placement = placement
+        self.placement = self._placement.name
         self.shard_faults = shard_faults
         self.retry_budget = retry_budget
         self.hedge = HedgePolicy.resolve(hedge)
@@ -492,9 +400,10 @@ class ResilientCluster:
             self.clock.watchdog = Watchdog(watchdog_limit)
 
         options = dict(engine_options)
-        self._machine_size = options["machine_size"]
-        self._config = options["config"]
-        self._cost_model = options["cost_model"]
+        # The routing core the pre-routed path uses: the placement
+        # policy and its load forecast (shard busy-until horizons).
+        self._placement.reset(shards, options)
+        self._forecast = self._placement.forecast
         self.tenants = dict(options["tenants"] or {})
         # The cluster resolves deadlines once, at admission, so every
         # attempt of a query races the *same* absolute deadline; the
@@ -508,12 +417,6 @@ class ResilientCluster:
         }
         # One watchdog at the cluster level, not one per member.
         options["watchdog_limit"] = None
-        from .router import (
-            _build_engine,
-            _shard_engine_options,
-            resolve_shard_faults,
-        )
-
         # Engine-level (processor) fault schedules can ride along under
         # the cluster-level shard faults — a shard can lose processor 3
         # *and* later crash entirely.
@@ -545,16 +448,13 @@ class ResilientCluster:
         self._crash_times: List[List[float]] = [[] for _ in range(shards)]
 
         self.alive = set(range(shards))
-        self._ring = build_ring(shards)
         self._breakers = [
             _Breaker(self.breaker_policy) if self.breaker_policy else None
             for _ in range(shards)
         ]
-        self._busy_until = [0.0] * shards
         # Observed-over-estimated service-time EWMA per shard; feeds
         # the hedge forecast so stall-slowed shards are seen as slow.
         self._slowdown = [1.0] * shards
-        self._estimates: Dict[Tuple, float] = {}
         self._recent: Deque[float] = deque(
             maxlen=self.hedge.window if self.hedge else 1
         )
@@ -722,18 +622,6 @@ class ResilientCluster:
 
     # -- routing ----------------------------------------------------------
 
-    def _estimate(self, spec: QuerySpec) -> float:
-        key = (spec.shape, spec.cardinality, spec.strategy, spec.relations)
-        if key in self._estimates:
-            return self._estimates[key]
-        estimate = predict_service_time(
-            spec, self._machine_size, self._config, self._cost_model
-        )
-        if estimate is None:
-            estimate = _FALLBACK_SERVICE
-        self._estimates[key] = estimate
-        return estimate
-
     def _candidates(self, now: float) -> List[int]:
         """Live shards the breakers will route to, in index order."""
         live = self.alive if self.failover else set(range(self.shards))
@@ -750,42 +638,6 @@ class ResilientCluster:
             # beats failing a query because of our own hysteresis.
             picked = sorted(self.alive)
         return picked
-
-    def _choose(
-        self,
-        logical: ClusterQueryRecord,
-        candidates: List[int],
-        now: float,
-        avoid: Optional[int] = None,
-    ) -> int:
-        """Pick a shard among ``candidates`` (non-empty) with the
-        configured placement; deterministic tie-breaks (lowest index)."""
-        pool = [s for s in candidates if s != avoid] or candidates
-        if self.placement == "round_robin":
-            start = logical.index % self.shards
-            for offset in range(self.shards):
-                shard = (start + offset) % self.shards
-                if shard in pool:
-                    return shard
-        if self.placement == "hash":
-            key = (
-                logical.tenant
-                if logical.tenant is not None
-                else f"query:{logical.index}"
-            )
-            shard = ring_lookup_live(self._ring, key, set(pool))
-            if shard is not None:
-                return shard
-        # least_loaded — and the fallback for the others.
-        return min(pool, key=lambda s: (max(self._busy_until[s], now), s))
-
-    def _least_loaded(
-        self, candidates: List[int], now: float, avoid: int
-    ) -> Optional[int]:
-        pool = [s for s in candidates if s != avoid]
-        if not pool:
-            return None
-        return min(pool, key=lambda s: (max(self._busy_until[s], now), s))
 
     def _dispatch(self, logical: ClusterQueryRecord, role: str) -> None:
         if logical.terminal:
@@ -806,14 +658,16 @@ class ResilientCluster:
         if not candidates:
             self._retry_or_fail(logical, "no live shard")
             return
-        shard = self._choose(logical, candidates, now)
+        shard = self._placement.choose(
+            logical.index, now, logical.spec, candidates
+        )
         if not self.failover and shard not in self.alive:
             # The PR 9 baseline: a dead home shard loses the query.
             logical.failed = True
             logical.shard = shard
             logical.error = f"shard {shard} is down (no failover)"
             return
-        before = self._busy_until[shard]
+        before = self._forecast.busy_until[shard]
         self._submit_attempt(logical, shard, now, role)
         # Hedge only first dispatches: retries already failed once and
         # go wherever is alive; a hedge of a hedge never pays.
@@ -828,21 +682,22 @@ class ResilientCluster:
                 self._slowdown[shard], self._live_slowdown(shard, now)
             )
             forecast = slow * (
-                max(before - now, 0.0) + self._estimate(logical.spec)
+                max(before - now, 0.0) + self._forecast.estimate(logical.spec)
             )
             threshold = percentile(
                 list(self._recent), self.hedge.percentile
             )
             if forecast > threshold:
-                mate = self._least_loaded(candidates, now, avoid=shard)
-                if mate is not None:
-                    logical.hedged = True
-                    self.hedges += 1
-                    self._shard_stats[mate]["hedges"] += 1
-                    self._submit_attempt(logical, mate, now, "hedge")
-                    self._hedge_record[logical.index] = (
-                        logical.attempt_records[-1][1]
-                    )
+                mate = self._forecast.least_loaded(
+                    [s for s in candidates if s != shard], now
+                )
+                logical.hedged = True
+                self.hedges += 1
+                self._shard_stats[mate]["hedges"] += 1
+                self._submit_attempt(logical, mate, now, "hedge")
+                self._hedge_record[logical.index] = (
+                    logical.attempt_records[-1][1]
+                )
 
     def _submit_attempt(
         self,
@@ -869,9 +724,7 @@ class ResilientCluster:
         breaker = self._breakers[shard]
         if breaker is not None:
             breaker.on_dispatch()
-        self._busy_until[shard] = (
-            max(self._busy_until[shard], now) + self._estimate(logical.spec)
-        )
+        self._forecast.book(shard, now, logical.spec)
 
     def _live_slowdown(self, shard: int, now: float) -> float:
         """The shard's slowness as visible right now: the largest
@@ -881,7 +734,7 @@ class ResilientCluster:
             record = entry[0]
             if record.admitted is None:
                 continue
-            estimate = self._estimate(record.spec)
+            estimate = self._forecast.estimate(record.spec)
             if estimate > 0.0:
                 worst = max(worst, (now - record.admitted) / estimate)
         return worst
@@ -1052,7 +905,7 @@ class ResilientCluster:
         if record.latency is not None:
             self._recent.append(record.latency)
         if self.hedge is not None and record.service_time:
-            estimate = self._estimate(logical.spec)
+            estimate = self._forecast.estimate(logical.spec)
             if estimate > 0.0:
                 observed = record.service_time / estimate
                 self._slowdown[shard] += 0.5 * (
@@ -1180,15 +1033,12 @@ def run_resilient_cluster(
     breaker=None,
     throttle=None,
     failover: bool = True,
-    workers: Optional[int] = None,
 ) -> ResilientClusterResult:
     """Run the coordinated (single-clock) resilient cluster.
 
-    ``workers`` is accepted for signature symmetry with the pre-routed
-    fan-out and ignored: the shards share one clock, so the run is
-    inherently serial — and therefore trivially identical at any
-    worker count.  Parallelism lives one level up, in the chaos
-    harness's campaign points (:mod:`repro.cluster.chaos`).
+    The shards share one clock, so the run is serial; parallelism lives
+    one level up, in the chaos harness's campaign points
+    (:mod:`repro.cluster.chaos`).
 
     Fast-path epochs speculate that a queued hedge sibling does not act
     on them first (:meth:`ResilientCluster._attempt_barrier`); on a
@@ -1196,7 +1046,6 @@ def run_resilient_cluster(
     whose output the first run would have had.
     """
     global speculation_reruns
-    del workers
 
     def run(speculate: bool) -> ResilientClusterResult:
         cluster = ResilientCluster(

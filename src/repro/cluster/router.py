@@ -168,9 +168,10 @@ class ClusterResult:
     # -- merged rows ------------------------------------------------------
 
     def rows(self) -> List[Dict]:
-        """Per-query JSONL rows in shard order.  A one-shard cluster
-        emits its shard's rows *verbatim* (no ``shard`` key), so the
-        1-shard cluster is byte-identical to the single-engine
+        """Per-query JSONL rows in shard order — the population every
+        count and the cluster-wide latency are taken over.  A one-shard
+        cluster emits its shard's rows *verbatim* (no ``shard`` key), so
+        the 1-shard cluster is byte-identical to the single-engine
         workload; multi-shard rows carry their shard index."""
         if len(self.shards) == 1:
             return self.shards[0].rows
@@ -188,21 +189,31 @@ class ClusterResult:
     # -- cross-shard aggregates -------------------------------------------
 
     def submitted_count(self) -> int:
-        return sum(len(report.rows) for report in self.shards)
+        return len(self.rows())
 
     def completed_count(self) -> int:
-        return sum(report.completed_count() for report in self.shards)
+        return sum(1 for r in self.rows() if r["completed"] is not None)
 
     def useful_count(self) -> int:
-        return sum(report.useful_count() for report in self.shards)
-
-    def rejected_count(self) -> int:
+        """Completions that met their deadline."""
         return sum(
             1
-            for report in self.shards
-            for row in report.rows
-            if row["rejected"]
+            for r in self.rows()
+            if r["completed"] is not None and not r["deadline_missed"]
         )
+
+    def rejected_count(self) -> int:
+        return sum(1 for r in self.rows() if r["rejected"])
+
+    def failed_count(self) -> int:
+        return sum(1 for r in self.rows() if r["failed"])
+
+    def shed_counts(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for r in self.rows():
+            if r["shed"] is not None:
+                counts[r["shed"]] = counts.get(r["shed"], 0) + 1
+        return counts
 
     @property
     def makespan(self) -> float:
@@ -230,10 +241,9 @@ class ClusterResult:
         """Global (or one shard's) mean/p50/p95/p99 latency."""
         if shard is not None:
             return _latency_stats(self.shards[shard].latencies())
-        values: List[float] = []
-        for report in self.shards:
-            values.extend(report.latencies())
-        return _latency_stats(values)
+        return _latency_stats(
+            [r["latency"] for r in self.rows() if r["completed"] is not None]
+        )
 
     def scale_events(self) -> List[Dict]:
         """Every shard's scale events, tagged with the shard index."""
@@ -311,7 +321,10 @@ def run_shard(payload: Dict) -> ShardReport:
     process-pool entry point)."""
     engine = _build_engine(payload)
     closed = payload.get("closed")
-    if closed is not None:
+    if closed is not None and closed["clients"] == 0:
+        # More shards than clients: this one idles, but still reports.
+        result = engine.collect_result()
+    elif closed is not None:
         result = engine.run_closed(
             closed["mix"],
             closed["clients"],
@@ -379,21 +392,23 @@ def run_cluster_shards(
     scale_min: Optional[int] = None,
     scale_cooldown: float = DEFAULT_COOLDOWN,
     workers: Optional[int] = None,
-    placement_context: Optional[Dict] = None,
 ) -> ClusterResult:
     """Fan a pre-built arrival stream (or closed-loop population) over
     ``shards`` independent engines and merge the reports.
 
     ``engine_options`` carries the per-shard engine configuration (see
-    :func:`run_shard`).  With ``workers`` > 1 the shards run on a
-    process pool; the output is byte-identical to the serial run
-    because every shard is self-contained and reports are collected in
-    shard order.
+    :func:`run_shard`); its ``machine_size``/``config``/``cost_model``
+    also size the placement's load forecast.  With ``workers`` > 1 the
+    shards run on a process pool; the output is byte-identical to the
+    serial run because every shard is self-contained and reports are
+    collected in shard order.
     """
     if shards < 1:
         raise ValueError("a cluster needs at least one shard")
     if (open_arrivals is None) == (closed is None):
         raise ValueError("exactly one of open_arrivals/closed is required")
+    if closed is not None and closed["clients"] < 1:
+        raise ValueError("need at least one client")
     placement_name = placement if isinstance(placement, str) else placement.name
     autoscale_name = autoscale or "static"
     autoscale_payload = None
@@ -418,7 +433,7 @@ def run_cluster_shards(
     payloads: List[Dict] = []
     if open_arrivals is not None:
         per_shard, migrations = split_open_arrivals(
-            open_arrivals, shards, placement_name, placement_context
+            open_arrivals, shards, placement_name, engine_options
         )
         for shard in range(shards):
             payloads.append({
@@ -445,7 +460,6 @@ def run_cluster_shards(
                 ),
                 "autoscale": autoscale_payload,
             })
-        payloads = [p for p in payloads if p["closed"]["clients"] > 0]
 
     reports = _execute(payloads, workers)
     return ClusterResult(

@@ -258,16 +258,15 @@ def predict_spec_service_time(
     """Analytic response time of one workload ``QuerySpec`` at advised
     parallelism on a ``machine_size`` machine.
 
-    This is the Section 3 forecast the SJF/WFQ schedulers trust
-    (:class:`~repro.workload.sched.ServiceEstimator`), parameterized by
-    capacity instead of a live engine: plan the spec (resolving
-    ``"auto"`` through the guideline advisor), clamp the advised
-    parallelism to the machine (pipelining needs one processor per
-    join to be feasible), and predict.  The cluster layer leans on it
-    twice — ``least_loaded`` placement's busy-until forecast, and the
-    resilient router's hedging trigger (forecast completion versus the
-    recent-latency percentile).  Returns ``None`` for a spec no plan
-    can run at this capacity.
+    Plan the spec (resolving ``"auto"`` through the guideline advisor),
+    clamp the advised parallelism to the machine (pipelining needs one
+    processor per join to be feasible), and predict.  This is the one
+    spelling of the forecast: the SJF/WFQ schedulers' job sizes
+    (:class:`~repro.workload.sched.ServiceEstimator`) and the cluster's
+    :class:`~repro.cluster.placement.LoadForecast` — ``least_loaded``
+    placement, the coordinated router's hedge trigger and the
+    ``predictive`` autoscaler — all call it.  Returns ``None`` for a
+    spec no plan can run at this capacity.
     """
     from ..core.trees import num_joins
     from ..optimizer.guidelines import (

@@ -212,14 +212,14 @@ class ServiceEstimator:
     """Analytic response-time estimates at advised parallelism.
 
     SJF and WFQ need a notion of job *size* before a query runs.  The
-    Section 3 cost model supplies it: plan the spec the way admission
-    would (resolving ``"auto"`` through the Section 5 guidelines),
-    size it with :func:`~repro.optimizer.guidelines.advise_parallelism`
-    clamped to the machine, and take the analytic response time.
-    Estimates are cached per frozen spec, so the cost model runs once
-    per distinct query class, not per arrival.  An infeasible spec
-    estimates to ``None`` (SJF sends it last; WFQ charges a nominal
-    slice — admission will reject it anyway).
+    Section 3 cost model supplies it: the analytic response time at
+    advised parallelism on the engine's machine
+    (:func:`~repro.model.analytic.predict_spec_service_time`, the one
+    forecast the cluster router trusts too).  Estimates are cached per
+    frozen spec, so the cost model runs once per distinct query class,
+    not per arrival.  An infeasible spec estimates to ``None`` (SJF
+    sends it last; WFQ charges a nominal slice — admission will reject
+    it anyway).
     """
 
     def __init__(self) -> None:
@@ -228,43 +228,19 @@ class ServiceEstimator:
     def estimate(
         self, engine: Optional["WorkloadEngine"], spec: "QuerySpec"
     ) -> Optional[float]:
-        if spec in self._cache:
-            return self._cache[spec]
-        from ..core.cost import CostModel
-        from ..core.trees import num_joins
-        from ..model.analytic import predict
-        from ..optimizer.guidelines import (
-            advise_parallelism,
-            advise_strategy,
-            apply_advice,
-        )
+        if spec not in self._cache:
+            from ..model import analytic
 
-        if engine is not None:
-            size = engine.machine.size
-            config = engine.machine.config
-            cost_model = engine.cost_model
-        else:
-            size, config, cost_model = 40, None, CostModel()
-        try:
-            tree = spec.tree()
-            catalog = spec.catalog()
-            strategy = spec.strategy
-            if strategy == "auto":
-                advice = advise_strategy(tree, catalog, size, cost_model)
-                tree = apply_advice(tree, advice)
-                strategy = advice.strategy
-            processors = advise_parallelism(tree, catalog, size, cost_model)
-            if strategy == "FP":
-                # Pipelining needs one processor per join to be feasible.
-                processors = max(processors, num_joins(tree))
-            processors = max(1, min(processors, size))
-            estimate = predict(
-                tree, catalog, strategy, processors, config, cost_model
-            ).response_time
-        except ValueError:
-            estimate = None
-        self._cache[spec] = estimate
-        return estimate
+            if engine is None:
+                size, config, cost_model = 40, None, None
+            else:
+                size = engine.machine.size
+                config = engine.machine.config
+                cost_model = engine.cost_model
+            self._cache[spec] = analytic.predict_spec_service_time(
+                spec, size, config, cost_model
+            )
+        return self._cache[spec]
 
 
 # -- the scheduler protocol -----------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro import api
 from repro.cluster import (
+    PLACEMENT_NAMES,
     BreakerPolicy,
     HedgePolicy,
     ResilientClusterResult,
@@ -13,6 +14,7 @@ from repro.cluster import (
     resolve_shard_faults,
     ring_lookup,
     ring_lookup_live,
+    split_open_arrivals,
     synthesize_trace,
 )
 from repro.cluster.chaos import check_invariants
@@ -190,6 +192,41 @@ class TestConservationAndDeterminism:
         result = run_cluster(shard_faults=kill_schedule(0, at=10.0))
         assert "resilience:" in result.summary()
         assert "shard crashes" in result.summary()
+
+
+class TestOneRoutingCore:
+    """With nothing to react to, the coordinated router routes every
+    query exactly where the pre-routed split would have."""
+
+    @pytest.mark.parametrize("tenanted", [False, True])
+    @pytest.mark.parametrize("placement", PLACEMENT_NAMES)
+    def test_coordinated_placement_matches_the_pre_routed_split(
+        self, placement, tenanted
+    ):
+        knobs = dict(
+            shards=3, placement=placement, retry_budget=0, duration=60.0,
+            rate=0.7, seed=11, cardinality=300,
+        )
+        if tenanted:
+            knobs.update(
+                rate=None,
+                tenants=[{"name": "a", "rate": 0.4},
+                         {"name": "b", "rate": 0.2},
+                         {"name": "c", "rate": 0.1}],
+            )
+        result = run_cluster(**knobs)
+        assert result.resilience["hedges"] == result.resilience["retries"] == 0
+        arrivals = [(record.arrival, record.spec) for record in result.records]
+        assert len(arrivals) > 20
+        assert any(spec.tenant is not None for _, spec in arrivals) == tenanted
+        per_shard, _migrations = split_open_arrivals(
+            arrivals, 3, placement,
+            {"machine_size": 12, "config": FAST, "cost_model": None},
+        )
+        routed = [[] for _ in range(3)]
+        for pair, row in zip(arrivals, result.rows()):
+            routed[row["shard"]].append(pair)
+        assert routed == per_shard
 
 
 class TestTraceReplayUnderFaults:

@@ -157,6 +157,31 @@ class TestAggregation:
             )
 
 
+class TestClosedLoopShards:
+    def test_zero_clients_is_rejected_like_run_workload(self, fast_config):
+        with pytest.raises(ValueError, match="need at least one client"):
+            api.run_workload(arrivals="closed", clients=0, config=fast_config)
+        with pytest.raises(ValueError, match="need at least one client"):
+            api.run_cluster(arrivals="closed", clients=0, config=fast_config)
+
+    def test_idle_shards_still_report(self, fast_config):
+        result = api.run_cluster(
+            "wide_bushy", arrivals="closed", clients=1, shards=3,
+            queries_per_client=2, machine_size=12, share=12,
+            cardinality=300, config=fast_config,
+        )
+        assert len(result.shards) == 3
+        assert [report.shard for report in result.shards] == [0, 1, 2]
+        assert result.machine_size() == 36
+        assert result.summary().startswith("cluster 3x12p")
+        assert len(result.per_shard()) == 3
+        assert result.completed_count() == 2
+        for shard in (1, 2):
+            assert result.shards[shard].rows == []
+            assert result.shards[shard].makespan == 0.0
+            assert set(result.latency_stats(shard=shard).values()) == {None}
+
+
 class TestShardSeeds:
     def test_shard_zero_keeps_the_caller_seed(self):
         assert shard_seed(7, 0) == 7
