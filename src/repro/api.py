@@ -201,6 +201,8 @@ def run(
         )
     if timeout is not None and timeout <= 0:
         raise ValueError("timeout must be positive")
+    if cardinality < 0:
+        raise ValueError(f"cardinality must be non-negative, got {cardinality!r}")
     tree = _resolve_tree(tree_or_shape)
     names = [leaf.name for leaf in leaves(tree)]
     if catalog is None:

@@ -46,6 +46,15 @@ def _results_path(name: str) -> pathlib.Path:
     return RESULTS_DIR / name
 
 
+def _tuples(text: str) -> int:
+    """A relation size: a non-negative integer (empty relations are
+    legal; a negative one would reach the allocator as a weight)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, strategy: bool = True) -> None:
     parser.add_argument(
         "--shape", choices=SHAPE_NAMES, default="wide_bushy",
@@ -55,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser, strategy: bool = True) -> None:
         "--relations", type=int, default=10, help="number of base relations"
     )
     parser.add_argument(
-        "--cardinality", type=int, default=5000,
+        "--cardinality", type=_tuples, default=5000,
         help="tuples per relation (5000 and 40000 are the paper's sizes)",
     )
     parser.add_argument(

@@ -8,9 +8,9 @@ until the last operation process finishes" (Section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ..core.numeric import ordered_sum
 from .machine import MachineConfig
 
 
@@ -42,28 +42,35 @@ class SimulationResult:
     #: Total result tuples of the root join (fluid count).
     result_tuples: float
 
+    @cached_property
+    def _busy(self) -> Tuple[float, float, float]:
+        """``(all, work, handshake)`` busy seconds, from one walk over
+        the spans: each total adds its spans one by one in span order,
+        the whole from the integer 0 as ``ordered_sum`` does, the two
+        kinds from 0.0."""
+        total = 0
+        work = handshake = 0.0
+        for spans in self.intervals.values():
+            for start, end, label in spans:
+                span = end - start
+                total += span
+                if label.endswith(":hs"):
+                    handshake += span
+                else:
+                    work += span
+        return total, work, handshake
+
     def busy_time(self) -> float:
         """Total CPU-busy seconds over all processors."""
-        return ordered_sum(
-            end - start
-            for spans in self.intervals.values()
-            for start, end, _ in spans
-        )
+        return self._busy[0]
 
     def busy_by_kind(self) -> Dict[str, float]:
         """CPU seconds split into 'work' and 'handshake' categories."""
-        out = {"work": 0.0, "handshake": 0.0}
-        for spans in self.intervals.values():
-            for start, end, label in spans:
-                kind = "handshake" if label.endswith(":hs") else "work"
-                out[kind] += end - start
-        return out
+        _, work, handshake = self._busy
+        return {"work": work, "handshake": handshake}
 
     def utilization(self, busy_time: Optional[float] = None) -> float:
-        """Mean fraction of the response time processors were busy.
-
-        A caller that already holds :meth:`busy_time` passes it in, so
-        the intervals are walked once."""
+        """Mean fraction of the response time processors were busy."""
         if self.response_time <= 0 or self.processors == 0:
             return 0.0
         if busy_time is None:

@@ -76,21 +76,36 @@ time: siblings a barrier releases together (SP, SE, most of RD) meet
 there and are never interpreted at all.  At **idle**, when no chunk is
 selectable and the clock is about to be reset to the next arrival's
 time — the one place a staggered sibling's clock rejoins a shared value
-— the state is ``(ei, b_pend, p_pend, b_done, p_done, out_total,
-cur_e)``: the position in the timeline, what is pending and done on
-each side, the output accumulator, and the end of the open busy
-interval (the next chunk's interval-merge test reads it).  What the
-comparison leaves out is implied by what it holds: end-of-stream counts
-and the closed flags are functions of ``ei``, the open interval's label
-of whether anything was processed; ``busy`` is checked to lie at or
-before the shared arrival instead of being compared, because from there
-on ``max(now, busy)`` is ``now``.  A sibling keeps what is its own —
-``start_time``, base-fragment ``first_arrival`` (functions of its start),
-the start of the interval open at the rendezvous, its delivery order and
-emission ranks — and a sibling that never meets its leader has simply
-been simulated in full: no second code path, no tolerance, no fallback.
+— the state is ``(ei, off, b_pend, p_pend, b_done, p_done, out_total,
+cur_e)``: the position in the timeline (run and copy), what is pending
+and done on each side, the output accumulator, and the end of the open
+busy interval (the next chunk's interval-merge test reads it).  What
+the comparison leaves out is implied by what it holds: end-of-stream
+counts and the closed flags are functions of the position, the open
+interval's label of whether anything was processed; ``busy`` is checked
+to lie at or before the shared arrival instead of being compared,
+because from there on ``max(now, busy)`` is ``now``.  A sibling keeps
+what is its own — ``start_time``, base-fragment ``first_arrival``
+(functions of its start), the start of the interval open at the
+rendezvous, its delivery order and emission ranks — and a sibling that
+never meets its leader has simply been simulated in full: no second
+code path, no tolerance, no fallback.
 Skewed shares are pairwise distinct, so skewed tasks have no leader and
 run exactly as before.
+
+**Sibling runs** — what a follower inherits is not copied.  It is
+entered in the leader's ``followers`` with the point it met the leader
+at and its own ``porder`` and rank shift, and each leader emission
+counts the siblings that share it as *copies* of itself
+(:func:`_share`).  A consumer's timeline is built once per task as runs
+(:func:`_timeline`): one entry and a copy count for arrivals the heap
+dispatches back to back.  Where another emission shares a run's
+instant, the heap interleaves them by delivery order, so that instant
+is expanded copy by copy and folded again.  The consumer keeps the
+classic order exactly: a completion absorbs a run by adding its share
+once per copy, in sequence; an idle process absorbs one copy and
+queues the rest behind its chunk.  Work grows with distinct emissions,
+not with the replicas the paper's uniform fragmentation makes of them.
 
 Turbo v2 adds three layers on top of the v1 interpreter:
 
@@ -136,6 +151,8 @@ Turbo v2 adds three layers on top of the v1 interpreter:
 
 from __future__ import annotations
 
+from itertools import compress, islice
+from operator import eq, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.numeric import ordered_sum
@@ -167,6 +184,8 @@ _STATS = {
     "hosted_rollbacks": 0,
     "sibling_runs": 0,
     "sibling_splices": 0,
+    "timeline_entries": 0,
+    "timeline_runs": 0,
     "tie_declines": 0,
 }
 
@@ -197,6 +216,11 @@ def cache_stats() -> Dict[str, int]:
 #: Sort rank placing a stored-result delivery after any (impossible)
 #: same-time data batch of the same producer process.
 _STORE_RANK = 1 << 30
+
+#: A timeline run is ``(atime, emit, porder, rank, side, count, eos,
+#: copies)``; these read its instant and its copy count in bulk.
+_STAMP = itemgetter(0, 1)
+_COPIES = itemgetter(7)
 
 
 def _topo_order(sim) -> Optional[List[int]]:
@@ -404,18 +428,25 @@ class _Lead:
     leader's future, to the bit.
     """
 
-    __slots__ = ("points", "proc", "emissions", "intervals", "ncomp")
+    __slots__ = ("points", "proc", "width", "nemit", "intervals", "ncomp", "followers")
 
-    def __init__(self) -> None:
+    def __init__(self, width: int) -> None:
         #: Dynamic state at a rendezvous -> the leader's ``(emissions,
         #: intervals, completions)`` counts there.
         self.points: Dict[tuple, Tuple[int, int, int]] = {}
         #: The leader, once it has finished; its final state is read
         #: off it.  The three below are its own outputs, whole.
         self.proc = None
-        self.emissions: List[tuple] = []
+        #: Processes in the task: the copy count the leader gives its
+        #: emissions until the followers say otherwise (:func:`_share`).
+        self.width = width
+        self.nemit = 0
         self.intervals: List[tuple] = []
         self.ncomp = 0
+        #: ``(start, porder, shift)`` per follower that met the leader:
+        #: it shares the leader's emissions from index ``start`` on, in
+        #: its own delivery order ``porder``, each rank moved by ``shift``.
+        self.followers: List[Tuple[int, int, int]] = []
 
 
 def _finish(proc, done_time: float, out_total: float) -> None:
@@ -436,8 +467,7 @@ def _inherit(
     proc,
     lead: _Lead,
     at: Tuple[int, int, int],
-    emissions: List[tuple],
-    rank0: int,
+    nown: int,
     porder: int,
     ncomp: int,
     open_start: float,
@@ -451,16 +481,15 @@ def _inherit(
     every busy interval, the completion count still to come, and the
     final port, processor and process state.  The sibling's own: its
     delivery order ``porder``, emission ranks that continue its own
-    count (the consumer's sort breaks same-instant ties on them), and
-    the start of the interval open at the rendezvous — siblings agree on
-    where it ends, not on when it began.
+    count of ``nown`` (the consumer's timeline breaks same-instant ties
+    on them), and the start of the interval open at the rendezvous —
+    siblings agree on where it ends, not on when it began.  The
+    emissions are not copied: the sibling is entered in
+    ``lead.followers``, and each leader emission from the rendezvous on
+    counts it as one more copy of itself (:func:`_share`).
     """
     nemit_at, nspan_at, ncomp_at = at
-    shift = len(emissions) - rank0 - nemit_at
-    emissions += [
-        (atime, emit, porder, rank + shift, side, count, eos)
-        for (atime, emit, _, rank, side, count, eos) in lead.emissions[nemit_at:]
-    ]
+    lead.followers.append((nemit_at, porder, nown - nemit_at))
     leader = lead.proc
     spans = lead.intervals[nspan_at:]
     if spans:
@@ -482,7 +511,7 @@ def _inherit(
     return (
         leader.done_time,
         ncomp + lead.ncomp - ncomp_at,
-        len(emissions) - rank0,
+        nown + lead.nemit - nemit_at,
     )
 
 
@@ -500,19 +529,27 @@ def _run_process(
 ) -> Tuple[float, int, int]:
     """Simulate one operation process to completion.
 
-    ``entries`` is the task-wide arrival timeline —
-    ``(atime, emit, porder, rank, side, count, eos)`` tuples sorted by
-    the classic heap order; this process takes ``count * share`` of
-    each batch.  ``first_pos`` holds the arrival time of the first
-    positive-count entry per side (every entry is eventually received,
-    so the port's ``first_arrival`` is a task-level constant and need
-    not be tracked per apply).  Pipelined output batches are appended
-    to ``emissions`` already in consumer timeline form — ``latency``,
-    ``porder`` and ``side`` are this process's delivery decoration.
-    ``lead`` is the task's :class:`_Lead` when its processes run in lock
-    step (``None`` otherwise): the first process through records its
-    rendezvous points in it, each later one stops at the first point it
-    shares and takes the rest of its run from there (:func:`_inherit`).
+    ``entries`` is the task-wide arrival timeline as runs —
+    ``(atime, emit, porder, rank, side, count, eos, copies)`` tuples in
+    the classic heap order (:func:`_timeline`), each standing for
+    ``copies`` identical arrivals that the heap dispatches back to back;
+    this process takes ``count * share`` of each batch.  A completion
+    absorbs a whole run the heap dispatches before it, adding
+    ``count * share`` once per copy, in sequence (never ``copies * c``:
+    the float total would differ); end-of-stream counts are integers and
+    are added at once.  An idle wait absorbs *one* copy, as the classic
+    process does, and starts a chunk: the run splits there, and the
+    position in the timeline is ``(ei, off)``, run and copy.
+    ``first_pos`` holds the arrival time of the first positive-count
+    entry per side (every entry is eventually received, so the port's
+    ``first_arrival`` is a task-level constant and need not be tracked
+    per apply).  Pipelined output batches are appended to ``emissions``
+    already in consumer timeline form — ``latency``, ``porder`` and
+    ``side`` are this process's delivery decoration.  ``lead`` is the
+    task's :class:`_Lead` when its processes run in lock step (``None``
+    otherwise): the first process through records its rendezvous points
+    in it, each later one stops at the first point it shares and takes
+    the rest of its run from there (:func:`_inherit`).
     Returns ``(done_time, completion_events, emission_count)``.
     """
     left = proc.left
@@ -520,7 +557,7 @@ def _run_process(
     processor = proc.processor
     busy = processor.busy_until
     intervals = processor.intervals
-    rank0 = len(emissions)
+    nemit = 0  # this process's own emissions so far: the next one's rank
 
     # This process's own, however much of its run it inherits: its
     # start, and with it when a base fragment is first seen.  Base
@@ -541,17 +578,19 @@ def _run_process(
         points = None
         following = False
         imark = 0
+        copies = 1
     else:
         points = lead.points
         following = lead.proc is not None
         imark = len(intervals)
+        # A leader's emission stands for every sibling until _share
+        # counts the ones that actually met it.
+        copies = 1 if following else lead.width
         if busy <= t_start:
             if following:
                 at = points.get(t_start)
                 if at is not None:
-                    return _inherit(
-                        proc, lead, at, emissions, rank0, porder, 0, 0.0, None
-                    )
+                    return _inherit(proc, lead, at, 0, porder, 0, 0.0, None)
             else:
                 points[t_start] = (0, 0, 0)
 
@@ -609,7 +648,8 @@ def _run_process(
     p_eos = 0
     out_total = 0.0
     ncomp = 0
-    ei = 0
+    ei = 0  # the next run, and how many of its copies are already in
+    off = 0
     en = len(entries)
     next_at = entries[0][0] if en else _INF
     # The chunk in flight.  The start handshake completes as an empty
@@ -656,18 +696,26 @@ def _run_process(
                             # which callback ran first, not visible here.
                             raise _SameInstantTie
                     c = ent[5] * share
+                    n = ent[7] - off
+                    off = 0
                     if ent[4] == bflag:
                         b_pend += c
+                        if n > 1:
+                            for _ in range(n - 1):
+                                b_pend += c
                         k = ent[6]
                         if k:
-                            b_eos += k
+                            b_eos += k * n
                             if b_eos >= b_exp:
                                 b_closed = True
                     else:
                         p_pend += c
+                        if n > 1:
+                            for _ in range(n - 1):
+                                p_pend += c
                         k = ent[6]
                         if k:
-                            p_eos += k
+                            p_eos += k * n
                             if p_eos >= p_exp:
                                 p_closed = True
                     ei += 1
@@ -682,8 +730,9 @@ def _run_process(
                 out_total += out
                 if pipe_out:
                     emissions.append(
-                        (now + latency, now, porder, len(emissions) - rank0, side, out, 0)
+                        (now + latency, now, porder, nemit, side, out, 0, copies)
                     )
+                    nemit += 1
             completing = False
 
         # Select the next CPU chunk (algorithm hook, inlined).
@@ -777,23 +826,26 @@ def _run_process(
                 now = e_t
                 ncomp += 1
             break
-        # Otherwise wait for the next arrival.
+        # Otherwise wait for the next arrival: one copy of the next run.
         ent = entries[ei]
         # Rendezvous at idle: the clock is about to be reset to an
         # arrival time every sibling shares, and everything else the
         # rest of the run reads is in the key.
         if points is not None and busy <= ent[0]:
-            key = (ei, b_pend, p_pend, b_done, p_done, out_total, cur_e)
+            key = (ei, off, b_pend, p_pend, b_done, p_done, out_total, cur_e)
             if following:
                 at = points.get(key)
                 if at is not None:
                     return _inherit(
-                        proc, lead, at, emissions, rank0, porder, ncomp, cur_s, cur_l
+                        proc, lead, at, nemit, porder, ncomp, cur_s, cur_l
                     )
             else:
-                points[key] = (len(emissions) - rank0, len(intervals) - imark, ncomp)
-        ei += 1
-        next_at = entries[ei][0] if ei < en else _INF
+                points[key] = (nemit, len(intervals) - imark, ncomp)
+        off += 1
+        if off == ent[7]:
+            off = 0
+            ei += 1
+            next_at = entries[ei][0] if ei < en else _INF
         now = ent[0]
         c = ent[5] * share
         if ent[4] == bflag:
@@ -824,10 +876,102 @@ def _run_process(
     _finish(proc, now, out_total)
     if points is not None and not following:
         lead.proc = proc
-        lead.emissions = emissions[rank0:]
+        lead.nemit = nemit
         lead.intervals = intervals[imark:]
         lead.ncomp = ncomp
-    return now, ncomp, len(emissions) - rank0
+    return now, ncomp, nemit
+
+
+def _share(emissions: List[tuple], lead: _Lead) -> None:
+    """Give each of the leader's emissions its copy count: one for the
+    leader and one per follower that met it at or before that emission
+    (``_Lead.followers``).  The leader wrote them counting every sibling
+    (``lead.width``); only the stretches a follower missed are
+    rewritten, so a task whose siblings all meet at the start costs
+    nothing here.  The leader ran first: its emissions open the list,
+    rank ``j`` at index ``j``."""
+    width = lead.width
+    bounds = sorted(start for start, _, _ in lead.followers)
+    bounds.append(lead.nemit)
+    lo = 0
+    for copies, hi in enumerate(bounds, 1):
+        if lo < hi and copies != width:
+            emissions[lo:hi] = [
+                (atime, emit, porder, rank, side, count, eos, copies)
+                for atime, emit, porder, rank, side, count, eos, _ in emissions[lo:hi]
+            ]
+        lo = hi
+
+
+def _timeline(
+    entries: List[tuple], followers_of: Dict[int, List[Tuple[int, int, int]]]
+) -> List[tuple]:
+    """A consumer's arrival timeline: its producers' emissions in the
+    classic heap order — ``(atime, emit, porder, rank)`` — as runs of
+    identical arrivals dispatched back to back.
+
+    A leader's emission with ``copies > 1`` stands for its own arrival
+    and its followers', which share ``(atime, emit)`` and differ only in
+    delivery order and rank.  When no other emission shares that instant
+    they are adjacent in heap order, and the run is already right.  When
+    another does, the heap interleaves them by ``(porder, rank)``: every
+    emission at that instant is expanded into its copies, ordered, and
+    folded back into runs of equal ``(side, count, eos)``.  ``entries``
+    is sorted in place."""
+    entries.sort()
+    stamps = list(map(_STAMP, entries))
+    ties = list(compress(range(len(stamps)), map(eq, stamps, islice(stamps, 1, None))))
+    if ties:
+        entries = _split_instants(entries, ties, followers_of)
+    _STATS["timeline_runs"] += len(entries)
+    _STATS["timeline_entries"] += sum(map(_COPIES, entries))
+    return entries
+
+
+def _split_instants(
+    entries: List[tuple],
+    ties: List[int],
+    followers_of: Dict[int, List[Tuple[int, int, int]]],
+) -> List[tuple]:
+    """``entries`` with every group of emissions sharing one
+    ``(atime, emit)`` — ``ties`` holds each index whose successor has
+    the same stamp — replaced by its copies in heap order, folded into
+    runs of equal ``(side, count, eos)``."""
+    out: List[tuple] = []
+    done = 0
+    t, nt = 0, len(ties)
+    while t < nt:
+        lo = hi = ties[t]
+        t += 1
+        while t < nt and ties[t] == hi + 1:
+            hi += 1
+            t += 1
+        out += entries[done:lo]
+        done = hi + 2
+        copies = []
+        for ent in entries[lo:done]:
+            porder, rank = ent[2], ent[3]
+            copies.append((porder, rank, ent))
+            if ent[7] > 1:
+                for start, fporder, shift in followers_of[porder]:
+                    if start <= rank:
+                        copies.append((fporder, rank + shift, ent))
+        copies.sort()  # (porder, rank) is unique: entries never compared
+        last = None
+        for porder, rank, ent in copies:
+            if last is not None and (ent is last or (
+                ent[4] == last[4] and ent[5] == last[5] and ent[6] == last[6]
+            )):
+                n += 1
+                continue
+            if last is not None:
+                out.append(head + (n,))
+            last = ent
+            head = (ent[0], ent[1], porder, rank, ent[4], ent[5], ent[6])
+            n = 1
+        out.append(head + (n,))
+    out += entries[done:]
+    return out
 
 
 def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
@@ -870,6 +1014,8 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                 consumer_side[pos_of[spec.source]] = sidx
 
     emissions_of: List[List[tuple]] = [[] for _ in runtimes]
+    # A leader's delivery order -> its followers (``_Lead.followers``).
+    followers_of: Dict[int, List[Tuple[int, int, int]]] = {}
     transferred = 0.0
     finished_at = 0.0
 
@@ -891,7 +1037,8 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
             entries = emissions_of[pos_of[rspec.source]]
         else:
             entries = []
-        entries.sort()
+        if entries:
+            entries = _timeline(entries, followers_of)
         fp0: Optional[float] = None
         fp1: Optional[float] = None
         for ent in entries:
@@ -918,11 +1065,16 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
         # staggered: the first leads, the rest follow it (see _Lead).
         # Skewed shares are pairwise distinct — nothing to share.
         lead = None
+        met = 0  # followers that met the leader
         if nprocs > 1:
             s0 = shares[0]
             if all(sh == s0 for sh in shares):
-                lead = _Lead()
+                lead = _Lead(nprocs)
                 _STATS["sibling_runs"] += nprocs - 1
+        # ``(done, porder, emissions)`` of each process that owns its
+        # end of stream; a follower that met its leader shares the
+        # leader's, as it shares the leader's emissions.
+        ends: List[Tuple[float, int, int]] = []
         porder = seq_before[ti]
         for pi, proc in enumerate(procs):
             porder += 1
@@ -941,13 +1093,27 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                 lead,
             )
             nevents += 1 + ncomp  # init_ready + hs/chunk completions
+            if lead is not None and len(lead.followers) > met:
+                met += 1
+            else:
+                ends.append((done_t, porder, nemit))
             if pipe_flag:
-                task_emissions.append(
-                    (done_t + latency, done_t, porder, nemit, out_side, 0.0, 1)
-                )
                 nevents += nemit + 1  # batch arrivals + EOS arrival
                 transferred += proc.out_total
         rt.done_processes = nprocs
+        if pipe_flag:
+            if lead is not None:
+                _share(task_emissions, lead)
+                if met:
+                    followers_of[seq_before[ti] + 1] = lead.followers
+            # The first end is the leader's (or a lone process's): it
+            # stands for every follower too.
+            copies = 1 + met
+            for done_t, eporder, nemit in ends:
+                task_emissions.append((
+                    done_t + latency, done_t, eporder, nemit, out_side, 0.0, 1, copies
+                ))
+                copies = 1
 
         completion = max(p.done_time for p in rt.processes)
         rt.completion = completion
@@ -964,6 +1130,7 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                     out_side,
                     total,
                     len(rt.processes),
+                    1,
                 )
             )
             transferred += total

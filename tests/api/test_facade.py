@@ -120,6 +120,13 @@ class TestArgumentPolicing:
         with pytest.raises(ValueError, match="unknown shape"):
             api.run("narrow_bushy", "FP", 40)
 
+    def test_negative_cardinality_is_named(self):
+        """Refused here, with the value, not deep in the allocator as a
+        negative weight; an empty relation stays legal."""
+        with pytest.raises(ValueError, match="cardinality must be non-negative, got -5"):
+            api.run("wide_bushy", "FP", 16, cardinality=-5)
+        assert api.run("wide_bushy", "FP", 16, cardinality=0).result_tuples == 0
+
     def test_tree_type_checked(self):
         with pytest.raises(TypeError, match="shape name or a Node"):
             api.run(42, "FP", 40)

@@ -524,6 +524,15 @@ class TestHostileValues:
         assert names in refused["error"]
         assert alive["ok"] is True
 
+    def test_a_negative_cardinality_is_refused_by_name(self):
+        refused, alive = self.pump(
+            json.dumps({"op": "query", "cardinality": -5}), self.GOOD
+        )
+        assert refused == {
+            "ok": False, "error": "cardinality must be non-negative, got -5"
+        }
+        assert alive["ok"] is True
+
     def test_an_unhashable_op_is_an_unknown_op(self):
         refused, alive = self.pump('{"op": ["query"]}', self.GOOD)
         assert "unknown op ['query']" in refused["error"]

@@ -8,9 +8,12 @@ they need no calibration against a reference box:
   rather than replays, against the same simulation drained through the
   classic event loop.  Interpreting every sibling process in full gives
   about 4x at 1 000 tuples; splicing lock-step siblings onto their
-  leader's run gives about 14x.  The 5x floor sits between, and the
-  splice counter is asserted too, so the test trips when the
-  replication silently stops firing.
+  leader's run gives about 14x, and holding their shared emissions as
+  runs in the consumers' timelines about 25x.  The 5x floor sits just
+  above full interpretation, and the splice and run counters are
+  asserted too, so the test trips when the replication silently stops
+  firing or the consumers' timelines stop holding the siblings' copies
+  as runs.
 * **workload replay** — a one-client closed loop resubmitting one FP
   spec, served with the hosted fast path on and off.  Every epoch is
   single-occupancy, so every query should fast-path; the floor is 3x.
@@ -57,9 +60,10 @@ def test_cold_fp_turbo_beats_the_classic_loop():
         return seconds
 
     fast = min(drain(True) for _ in range(3))
-    splices = turbo.cache_stats()["sibling_splices"]
+    stats = turbo.cache_stats()
     classic = min(drain(False) for _ in range(3))
-    assert splices > 0
+    assert stats["sibling_splices"] > 0
+    assert stats["timeline_runs"] < stats["timeline_entries"]
     assert classic / fast >= COLD_FP_FLOOR, (
         f"cold FP {classic / fast:.2f}x over the classic loop "
         f"({classic:.3f}s / {fast:.3f}s)"

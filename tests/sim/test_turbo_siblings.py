@@ -8,7 +8,10 @@ The oracle here takes nothing of that on trust: inside a real
 leader record, exactly as before the mechanism existed, and once with
 it — and requires both to leave the same emissions, processor
 intervals, port finals, process finals and completion count, ``==`` on
-every float.
+every float.  A spliced follower writes no emissions for the tail it
+shares (the leader's count as its copies in the consumer's timeline),
+so its emissions are compared as its own plus that tail in its own
+delivery order and ranks.
 
 The compared state is then mutation-checked: the module is recompiled
 with one field dropped from the rendezvous key, and some test here must
@@ -67,6 +70,17 @@ class Diverged(AssertionError):
     """A follower's real run differs from its run alone."""
 
 
+def shared_tail(lead, emissions):
+    """The leader's emissions the follower that last met ``lead`` stands
+    for, decorated as its own: its delivery order, its ranks, one copy
+    each (the leader ran first, so its emissions open the task's list)."""
+    start, porder, shift = lead.followers[-1]
+    return [
+        (atime, emit, porder, rank + shift, side, count, eos, 1)
+        for atime, emit, _, rank, side, count, eos, _ in emissions[start:lead.nemit]
+    ]
+
+
 def checking(run_process, tally, doctor=None):
     """Wrap ``_run_process``: every follower is first run alone on a
     copy of the emission list, its traces rewound, and then run for
@@ -87,8 +101,12 @@ def checking(run_process, tally, doctor=None):
         expected = observed(proc, mark, alone[before:], returned)
         del processor.intervals[mark:]
         processor.busy_until = busy
+        met = len(lead.followers)
         returned = run_process(proc, entries, share, t_start, emissions, *decoration, lead)
-        if observed(proc, mark, emissions[before:], returned) != expected:
+        emitted = emissions[before:]
+        if len(lead.followers) > met:
+            emitted += shared_tail(lead, emissions)
+        if observed(proc, mark, emitted, returned) != expected:
             raise Diverged(f"{proc.name} on processor {processor.ident}, t_start={t_start}")
         tally["followers"] += 1
         return returned
@@ -139,7 +157,7 @@ def test_counters_report_attempts_beside_splices():
 
 #: The state compared at an idle rendezvous, as ``_run_process`` writes
 #: it; the start site's whole state is ``t_start``.
-IDLE_STATE = ("ei", "b_pend", "p_pend", "b_done", "p_done", "out_total", "cur_e")
+IDLE_STATE = ("ei", "off", "b_pend", "p_pend", "b_done", "p_done", "out_total", "cur_e")
 
 TRICKLE = MachineConfig(
     tuple_unit=0.001, process_startup=0.008, handshake=0.016,
@@ -162,9 +180,14 @@ SEPARATED_BY = {
 #: shape x strategy x machine points) brings two siblings to an idle
 #: point in states that differ in one of these alone: which arrival is
 #: next and what is pending move together with the fields above.  The
-#: rest of the run reads them all the same, so the comparison is pinned
-#: directly: a record that is off in that one field must match nothing.
-NEVER_ALONE = ("ei", "b_pend", "p_pend")
+#: copy within a run (``off``) cannot differ alone: a process waits
+#: mid-run only right after waiting at the copy before it, with no chunk
+#: run in between, so two siblings waiting at one copy of a run both
+#: waited at its first copy, in states differing in the same fields.
+#: The rest of the run reads them all the same, so the comparison is
+#: pinned directly: a record that is off in that one field must match
+#: nothing.
+NEVER_ALONE = ("ei", "off", "b_pend", "p_pend")
 NEAR_MISS = dict(shape="right_bushy", strategy="FP", processors=20, cardinality=1000)
 
 
@@ -197,9 +220,10 @@ def off_in(field, state=IDLE_STATE):
         if field not in state:
             return lead
         at = state.index(field)
-        doctored = turbo._Lead()
+        doctored = turbo._Lead(lead.width)
         doctored.proc, doctored.ncomp = lead.proc, lead.ncomp
-        doctored.emissions, doctored.intervals = lead.emissions, lead.intervals
+        doctored.nemit, doctored.intervals = lead.nemit, lead.intervals
+        doctored.followers = lead.followers
         for key, value in lead.points.items():
             if isinstance(key, tuple):  # the start site's key is a float
                 key = key[:at] + (key[at] + 0.5,) + key[at + 1:]

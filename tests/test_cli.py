@@ -254,6 +254,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_negative_cardinality_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--cardinality", "-5"])
+        assert excinfo.value.code == 2
+        assert "must be non-negative, got -5" in capsys.readouterr().err
+
 
 class TestWorkloadSchedulers:
     ARGS = TestWorkload.ARGS
