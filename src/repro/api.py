@@ -87,9 +87,8 @@ RUN_CLUSTER_KEYWORDS = (
     "rejected_retry_delay", "deadline", "shed", "watchdog_limit",
     "scheduler", "pool_size", "scheduling_cost", "tenants", "fast_path",
     # Extended additively post-freeze by the resilience surface:
-    # engine-level per-shard faults, and the coordinated-mode knobs
-    # (any of shard_faults/retry_budget/hedge/breaker/throttle/failover
-    # switches the run to the single-clock resilient cluster).
+    # engine-level per-shard faults, and the cluster's reactions (any
+    # of shard_faults/retry_budget/hedge/breaker/throttle/failover).
     "faults", "recovery", "max_retries", "retry_backoff",
     "shard_faults", "retry_budget", "hedge", "breaker", "throttle",
     "failover",
@@ -557,13 +556,13 @@ def run_cluster(
 ):
     """Serve traffic on a shared-nothing cluster of workload shards.
 
-    Every shard is an independent :class:`~repro.workload.WorkloadEngine`
-    (its own simulated clock, processor pool, scheduler, and admission
-    control) of ``machine_size`` processors; the router splits the
-    arrival stream across them before any shard simulates.  The
-    traffic/engine keywords are spelled exactly like
-    :func:`run_workload` — a 1-shard static cluster is *byte-identical*
-    to the single-engine run (pinned against the golden fixtures).
+    Every shard is a :class:`~repro.workload.WorkloadEngine` (its own
+    processor pool, scheduler, and admission control) of
+    ``machine_size`` processors; the router
+    (:class:`~repro.cluster.ResilientCluster`) places each arrival on
+    one.  The traffic/engine
+    keywords are spelled exactly like :func:`run_workload` — a 1-shard
+    static cluster is *byte-identical* to the single-engine run.
 
     ``trace``
         A :class:`~repro.cluster.Trace` (or a path to its JSON file) to
@@ -593,10 +592,8 @@ def run_cluster(
         repairs drained processors, scale-down drains without aborting
         running queries.
     ``workers``
-        Fan the shards over a process pool (the output is byte-identical
-        to the serial run; reports merge in shard order).  It has no
-        effect on the coordinated path below, whose shards share one
-        clock.
+        Accepted for compatibility; it has no effect (a cluster run is
+        serial).
     ``faults`` / ``recovery`` / ``max_retries`` / ``retry_backoff``
         Engine-level (processor) fault injection, per shard: a single
         :class:`~repro.faults.FaultSchedule` applies to every shard, a
@@ -605,22 +602,22 @@ def run_cluster(
         recovery knobs are spelled like :func:`run_workload`.
     ``shard_faults`` / ``retry_budget`` / ``hedge`` / ``breaker`` /
     ``throttle`` / ``failover``
-        The resilience surface (DESIGN.md §7e).  Passing *any* of them
-        switches to the coordinated single-clock cluster
-        (:class:`~repro.cluster.ResilientCluster`): ``shard_faults`` is
-        a cluster-level :class:`~repro.faults.FaultSchedule` whose
-        crash events name *shards*; ``retry_budget`` re-dispatches of
-        aborted queries (exponential backoff in simulated time);
+        The cluster's reactions (DESIGN.md §7e); with none of them the
+        run is *plain* and every shard runs alone on its own clock; with
+        any, the shards share one clock behind a live router.
+        ``shard_faults`` is a cluster-level
+        :class:`~repro.faults.FaultSchedule` whose crash events name
+        *shards*; ``retry_budget`` re-dispatches of aborted queries
+        (exponential backoff in simulated time);
         ``hedge``/``breaker``/``throttle`` take ``True``, a policy
-        dict, or a policy instance
-        (:class:`~repro.cluster.HedgePolicy` /
-        :class:`~repro.cluster.BreakerPolicy` /
+        dict, or a policy instance (:class:`~repro.cluster.HedgePolicy`
+        / :class:`~repro.cluster.BreakerPolicy` /
         :class:`~repro.cluster.ThrottlePolicy`); ``failover=False``
-        keeps the pre-routed loss behavior (a dead home shard fails
-        its queries) for baseline comparisons.  The coordinated mode
-        serves open-loop traffic on static shards and returns a
-        :class:`~repro.cluster.ResilientClusterResult` (one logical
-        row per query, however many shard attempts served it).
+        lets a dead home shard fail its queries, for baseline
+        comparisons.  Any reaction returns a
+        :class:`~repro.cluster.ResilientClusterResult` (one logical row
+        per query, however many shard attempts served it) and refuses
+        closed-loop clients.
 
     Returns a :class:`~repro.cluster.ClusterResult`; its ``write_jsonl``
     emits one deterministic row per query (tagged with its shard when
@@ -628,33 +625,26 @@ def run_cluster(
     """
     given = dict(locals())
     _reject_unknown_keywords("run_cluster", unknown, RUN_CLUSTER_KEYWORDS)
-    from .cluster import (
-        DEFAULT_COOLDOWN,
-        Trace,
-        run_cluster_shards,
-        run_resilient_cluster,
-    )
+    from .cluster import DEFAULT_COOLDOWN, Trace, run_resilient_cluster
 
     mix = _resolve_mix(mix_or_shape, strategy, cardinality, relations)
     shard_options = _engine_options(given)
-    tenant_map = shard_options["tenants"]
-    resilient = any(
-        value is not None
-        for value in (
-            shard_faults, retry_budget, hedge, breaker, throttle, failover
-        )
-    )
-    if resilient:
-        if arrivals == "closed" and trace is None:
-            raise ValueError(
-                "the resilient (coordinated) cluster serves open-loop "
-                "traffic; closed-loop clients stay on the pre-routed path"
-            )
-        if autoscale not in (None, "static"):
-            raise ValueError(
-                "resilience and autoscale cannot combine: the "
-                "coordinated cluster runs static shards"
-            )
+    elastic = None
+    if autoscale not in (None, "static"):
+        elastic = {
+            "policy": autoscale,
+            "scale_max": 2 * machine_size if scale_max is None else scale_max,
+            "scale_min": scale_min,
+            "scale_cooldown": (
+                DEFAULT_COOLDOWN if scale_cooldown is None else scale_cooldown
+            ),
+        }
+        if share is None:
+            # An exclusive policy with no explicit share asks for the
+            # whole machine — which at scale_max would never fit the
+            # base capacity.  Pin the share to the base so elasticity
+            # changes *concurrency*, not per-query feasibility.
+            shard_options["share"] = machine_size
     pairs = closed = None
     if trace is not None:
         if arrivals == "closed":
@@ -675,33 +665,22 @@ def run_cluster(
             "seed": seed,
         }
     else:
-        pairs = _open_pairs(mix, tenant_map, arrivals, rate, duration, seed)
-    if resilient:
-        return run_resilient_cluster(
-            open_arrivals=pairs,
-            shards=shards,
-            engine_options=shard_options,
-            placement=placement,
-            shard_faults=shard_faults,
-            retry_budget=0 if retry_budget is None else retry_budget,
-            hedge=hedge,
-            breaker=breaker,
-            throttle=throttle,
-            failover=True if failover is None else failover,
+        pairs = _open_pairs(
+            mix, shard_options["tenants"], arrivals, rate, duration, seed
         )
-    return run_cluster_shards(
+    return run_resilient_cluster(
         open_arrivals=pairs,
         closed=closed,
         shards=shards,
-        placement=placement,
-        autoscale=autoscale,
         engine_options=shard_options,
-        scale_max=scale_max,
-        scale_min=scale_min,
-        scale_cooldown=(
-            DEFAULT_COOLDOWN if scale_cooldown is None else scale_cooldown
-        ),
-        workers=workers,
+        placement=placement,
+        autoscale=elastic,
+        shard_faults=shard_faults,
+        retry_budget=retry_budget,
+        hedge=hedge,
+        breaker=breaker,
+        throttle=throttle,
+        failover=failover,
     )
 
 

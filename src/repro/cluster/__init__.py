@@ -1,32 +1,29 @@
 """Sharded serving: a shared-nothing cluster of workload engines.
 
-One routing core — placement, the analytic load forecast, query
-records and result counting — runs in two execution modes, chosen by
-whether any reactive policy (failover, retry, hedge, breaker,
-throttle) is set (DESIGN.md §7d, §7e):
-
-:mod:`repro.cluster.router`
-    The pre-routed mode — places the whole arrival stream up front,
-    fans it over N independent :class:`~repro.workload.WorkloadEngine`
-    shards and merges the per-shard reports into a
+:mod:`repro.cluster.resilience` / :mod:`repro.cluster.router`
+    The cluster runner (DESIGN.md §7d, §7e): N
+    :class:`~repro.workload.WorkloadEngine` shards behind a router —
+    placement and the analytic load forecast.  With no reaction set
+    the run is plain and each shard runs alone on its own clock; with
+    any, the shards share one simulated clock and the router reacts:
+    shard failover, retry budgets, hedged requests, circuit breakers,
+    and per-tenant rate SLOs.  The router module holds the plain shard
+    runner, the per-shard reports and the merged
     :class:`ClusterResult`.
 
 :mod:`repro.cluster.placement` / :mod:`repro.cluster.autoscale`
     The routing and elasticity policies: consistent tenant→shard
     hashing (plus ``least_loaded`` and ``round_robin``) over a pool of
     usable shards, the :class:`~repro.cluster.placement.LoadForecast`
-    they and the autoscaler share, and ``reactive``/``predictive`` autoscalers that grow and
-    shrink a shard's pool in simulated time through the fault/repair
-    machinery.
+    they and the autoscaler share, and ``reactive``/``predictive``
+    autoscalers that grow and shrink a shard's pool in simulated time
+    through the fault/repair machinery.
 
-:mod:`repro.cluster.resilience` / :mod:`repro.cluster.chaos`
-    The coordinated mode (DESIGN.md §7e): the same placement asked
-    live on one shared clock, with reactions layered on top — shard
-    failover, retry budgets, hedged requests, circuit breakers, and
-    per-tenant rate SLOs — plus the seeded chaos-campaign harness that
-    sweeps fault schedules over cluster shapes, asserts
-    conservation/watchdog/determinism invariants, and delta-debugs
-    failing schedules down to minimal regression fixtures.
+:mod:`repro.cluster.chaos`
+    The seeded chaos-campaign harness: sweeps fault schedules over
+    cluster shapes, asserts conservation/watchdog/determinism
+    invariants, and delta-debugs failing schedules down to minimal
+    regression fixtures.
 
 :mod:`repro.cluster.trace`
     Deterministic trace record/replay — a frozen, JSON-round-trippable
@@ -80,10 +77,8 @@ from .router import (
     ClusterResult,
     ShardReport,
     resolve_shard_faults,
-    run_cluster_shards,
     shard_seed,
     split_clients,
-    split_open_arrivals,
 )
 from .trace import TRACE_VERSION, Trace, TraceQuery, synthesize_trace
 
@@ -123,11 +118,9 @@ __all__ = [
     "ring_lookup",
     "ring_lookup_live",
     "run_chaos_campaign",
-    "run_cluster_shards",
     "run_resilient_cluster",
     "shard_seed",
     "shrink_schedule",
     "split_clients",
-    "split_open_arrivals",
     "synthesize_trace",
 ]

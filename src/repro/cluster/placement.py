@@ -1,11 +1,12 @@
 """Tenant-to-shard placement policies.
 
-The pre-routed router assigns every arriving query to one of N shards
-before any shard starts simulating, so placement must be a pure
+The cluster router (:mod:`repro.cluster.resilience`) assigns every
+arriving query to one of N shards.  A plain run places each arrival
+once, over every shard (``place``), so placement must be a pure
 function of the arrival stream — never of simulated execution state.
-The coordinated router (:mod:`repro.cluster.resilience`) asks the same
-policies live, restricted to the shards it may use right now; with
-every shard usable both routers pick the same shard.  Three policies:
+A reactive run asks the same policies live, restricted to the shards
+it may use right now (``choose``); with every shard usable both pick
+the same shard.  Three policies:
 
 ``hash``
     A consistent-hash ring over SHA-1 digests (never Python's
@@ -115,9 +116,9 @@ class PlacementPolicy:
     """Base: stateful per-run, deterministic, reset before each run.
 
     ``choose`` picks among a pool of shards (ascending indices) and
-    changes nothing; the coordinated router calls it with its live
-    pool.  ``place`` is the pre-routed step: choose among every shard,
-    then commit the arrival there.  ``context`` sizes the
+    changes nothing; a reactive router calls it with its live pool.
+    ``place`` is the plain step: choose among every shard, then commit
+    the arrival there.  ``context`` sizes the
     :class:`LoadForecast` every policy carries (``machine_size``,
     ``config``, ``cost_model``).
     """

@@ -1,17 +1,17 @@
-"""Cluster-grade resilience: shard failover, retries, hedging, SLOs.
+"""The cluster runner: a router in front of N shards, reactions on top.
 
-The pre-routed router (:mod:`repro.cluster.router`) splits arrivals
-across shards before any shard simulates, so shards never interact and
-nothing can react to a shard dying.  This module adds the coordinated
-mode: N workload engines hosted on **one** shared
-:class:`~repro.sim.events.SimulationClock`, with a live router between
-the arrival stream and the shards.  The router is the pre-routed one's
-core — the same placement policy (asked with the pool of shards it may
-use right now) and the same :class:`~repro.cluster.placement.LoadForecast`
-— with reactions layered on top.  Because every cross-shard reaction
-(failover, re-dispatch, hedging, breaker trips) is an ordinary event on
-the one clock, the whole cluster run remains a single deterministic
-discrete-event simulation.
+:class:`ResilientCluster` is the one cluster runner.  Its router is a
+placement policy (asked with the pool of shards it may use right now)
+and the policy's :class:`~repro.cluster.placement.LoadForecast`.  With
+no reaction set the run is *plain*: nothing can act across shards, so
+each arrival is placed once, closed-loop clients are pinned per shard,
+and each shard then runs alone on its own clock
+(:func:`~repro.cluster.router.run_shard`).  With any reaction set the
+N workload engines share **one**
+:class:`~repro.sim.events.SimulationClock` and the router places each
+arrival live; every reaction below (failover, re-dispatch, hedging,
+breaker trips) is an ordinary event on that clock, so a reactive run
+remains a single deterministic discrete-event simulation.
 
 The resilience primitives (DESIGN.md §7e):
 
@@ -68,6 +68,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.numeric import ordered_sum
@@ -82,6 +83,7 @@ from ..workload.engine import _Admissions, _FastPathMiss
 from ..workload.lifecycle import deadline_rng, resolve_deadline
 from ..workload.metrics import QueryRecord, percentile
 from ..workload.mix import QuerySpec
+from . import router
 from .placement import make_placement
 from .router import (
     ClusterResult,
@@ -89,6 +91,8 @@ from .router import (
     _build_engine,
     _shard_engine_options,
     resolve_shard_faults,
+    shard_seed,
+    split_clients,
 )
 
 #: Base cluster-level retry backoff in simulated seconds; retry k of a
@@ -360,8 +364,12 @@ class ResilientClusterResult(ClusterResult):
 
 
 class ResilientCluster:
-    """N workload engines on one clock behind a live, failure-aware
-    router.  Single-use, like the engine."""
+    """N workload engines behind a router.  Single-use, like the
+    engine.  With none of the six reaction knobs set (``shard_faults``
+    … ``failover``) the run is *plain* and each shard runs alone;
+    otherwise the engines share one clock behind a live router.
+    ``autoscale`` is the elasticity block of
+    :func:`~repro.cluster.router._build_engine` (``None``: static)."""
 
     def __init__(
         self,
@@ -369,18 +377,24 @@ class ResilientCluster:
         shards: int,
         engine_options: Dict,
         placement: str = "hash",
+        autoscale: Optional[Dict] = None,
         shard_faults: Optional[FaultSchedule] = None,
-        retry_budget: int = 0,
+        retry_budget: Optional[int] = None,
         hedge=None,
         breaker=None,
         throttle=None,
-        failover: bool = True,
+        failover: Optional[bool] = None,
         watchdog_limit: Optional[int] = DEFAULT_MAX_EVENTS_PER_INSTANT,
         _speculate: bool = True,
     ):
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
         self._placement = make_placement(placement)
+        reactions = (
+            shard_faults, retry_budget, hedge, breaker, throttle, failover
+        )
+        self.plain = all(value is None for value in reactions)
+        retry_budget = retry_budget or 0
         if retry_budget < 0:
             raise ValueError("retry_budget must be non-negative")
         if shard_faults is not None and not isinstance(
@@ -394,52 +408,59 @@ class ResilientCluster:
         self.hedge = HedgePolicy.resolve(hedge)
         self.breaker_policy = BreakerPolicy.resolve(breaker)
         self.throttle = ThrottlePolicy.resolve(throttle)
-        self.failover = failover
+        self.failover = True if failover is None else failover
+        self.autoscale = "static" if autoscale is None else autoscale["policy"]
         self.clock = SimulationClock()
         if watchdog_limit is not None:
             self.clock.watchdog = Watchdog(watchdog_limit)
 
         options = dict(engine_options)
-        # The routing core the pre-routed path uses: the placement
-        # policy and its load forecast (shard busy-until horizons).
+        # The routing core: the placement policy and its load forecast
+        # (shard busy-until horizons).
         self._placement.reset(shards, options)
         self._forecast = self._placement.forecast
         self.tenants = dict(options["tenants"] or {})
-        # The cluster resolves deadlines once, at admission, so every
-        # attempt of a query races the *same* absolute deadline; the
-        # member engines must not re-draw or re-apply defaults.
-        self._deadline = options["deadline"]
-        self._deadline_rng = deadline_rng(options["deadline_seed"])
-        options["deadline"] = None
-        options["tenants"] = {
-            name: replace(spec, deadline=None)
-            for name, spec in self.tenants.items()
-        }
-        # One watchdog at the cluster level, not one per member.
-        options["watchdog_limit"] = None
         # Engine-level (processor) fault schedules can ride along under
         # the cluster-level shard faults — a shard can lose processor 3
         # *and* later crash entirely.
         engine_faults = resolve_shard_faults(options["faults"], shards)
-        # The fast-path twin rule is clock-wide: every completion reaches
-        # the router's shared state (hedge percentiles, breakers,
-        # slowdowns), so twins on different shards do not commute.
-        admissions = _Admissions()
+        self._autoscale = autoscale
+        if not self.plain:
+            # The cluster resolves deadlines once, at admission, so
+            # every attempt of a query races the *same* absolute
+            # deadline; the member engines must not re-draw or re-apply
+            # defaults.
+            self._deadline = options["deadline"]
+            self._deadline_rng = deadline_rng(options["deadline_seed"])
+            options["deadline"] = None
+            options["tenants"] = {
+                name: replace(spec, deadline=None)
+                for name, spec in self.tenants.items()
+            }
+            # One watchdog at the cluster level, not one per member.
+            options["watchdog_limit"] = None
+        # A plain shard keeps its own deadline draws and watchdog, as
+        # it would alone (:meth:`_run_plain` builds its engine).
+        self._shard_options = [
+            _shard_engine_options(options, shard, fault=engine_faults[shard])
+            for shard in range(shards)
+        ]
+        # The hosted engines (none on a plain run).  The fast-path twin
+        # rule is clock-wide: every completion reaches the router's
+        # shared state (hedge percentiles, breakers, slowdowns), so
+        # twins on different shards do not commute.
         self.engines = []
-        for shard in range(shards):
+        admissions = _Admissions()
+        hosted = [] if self.plain else self._shard_options
+        for shard, shard_options in enumerate(hosted):
             engine = _build_engine(
-                {
-                    "shard": shard,
-                    "engine": _shard_engine_options(
-                        options, shard, fault=engine_faults[shard]
-                    ),
-                    "autoscale": None,
-                },
+                shard_options,
+                autoscale,
                 clock=self.clock,
-                on_query_done=self._make_done_hook(shard),
+                on_query_done=partial(self._attempt_done, shard),
             )
             engine._admissions = admissions
-            engine._host_barrier = self._make_barrier_hook(shard)
+            engine._host_barrier = partial(self._attempt_barrier, shard)
             self.engines.append(engine)
         # Assume a queued hedge sibling does not act first (see
         # :meth:`_attempt_barrier`).
@@ -775,12 +796,6 @@ class ResilientCluster:
 
     # -- fast-path barrier ------------------------------------------------
 
-    def _make_barrier_hook(self, shard: int):
-        def hook(record):
-            return self._attempt_barrier(shard, record)
-
-        return hook
-
     def _attempt_barrier(self, shard: int, record) -> Optional[float]:
         """What the coordinator can do to an attempt starting on a
         claimed share of ``shard`` now: the time before which its
@@ -822,12 +837,6 @@ class ResilientCluster:
         return barrier
 
     # -- attempt outcomes -------------------------------------------------
-
-    def _make_done_hook(self, shard: int):
-        def hook(record):
-            self._attempt_done(shard, record)
-
-        return hook
 
     def _record_outcome(self, shard: int, success: bool) -> None:
         breaker = self._breakers[shard]
@@ -924,13 +933,28 @@ class ResilientCluster:
     # -- the run ----------------------------------------------------------
 
     def run(
-        self, arrivals: Sequence[Tuple[float, QuerySpec]]
-    ) -> ResilientClusterResult:
+        self,
+        arrivals: Optional[Sequence[Tuple[float, QuerySpec]]] = None,
+        closed: Optional[Dict] = None,
+    ) -> ClusterResult:
+        """Serve ``arrivals``, or the ``closed`` loop (the keywords of
+        ``WorkloadEngine.run_closed``, plus ``mix`` and ``clients``):
+        clients split round-robin, shard k seeded ``shard_seed(seed, k)``.
+        A plain run returns a :class:`ClusterResult`, a reactive one a
+        :class:`ResilientClusterResult`."""
         if self._started:
             raise RuntimeError(
                 "a ResilientCluster runs one workload; build a fresh one"
             )
         self._started = True
+        if self.plain:
+            return self._run_plain(arrivals, closed)
+        if closed is not None:
+            raise ValueError(
+                "cluster reactions serve open-loop traffic only: a "
+                "client's next query would have to follow its logical "
+                "query across shards, and no routing rule does that"
+            )
         for index, (time, spec) in enumerate(arrivals):
             self.submit(index, time, spec)
         self._run_clock()
@@ -963,6 +987,46 @@ class ResilientCluster:
                 "no terminal state"
             )
         return self._collect()
+
+    def _run_plain(self, arrivals, closed: Optional[Dict]) -> ClusterResult:
+        """Nothing reacts, so shards never interact: place every arrival
+        up front (a tenant sent to another shard than its previous
+        query's *migrates*), then run each shard alone on its own clock,
+        one after another."""
+        migrations = 0
+        if closed is None:
+            per_shard: List[list] = [[] for _ in range(self.shards)]
+            home: Dict[str, int] = {}
+            for index, (time, spec) in enumerate(arrivals):
+                shard = self._placement.place(index, time, spec)
+                if spec.tenant is not None:
+                    migrations += home.setdefault(spec.tenant, shard) != shard
+                    home[spec.tenant] = shard
+                per_shard[shard].append((time, spec))
+            loads = [{"arrivals": shard_arrivals} for shard_arrivals in per_shard]
+        else:
+            if closed["clients"] < 1:
+                raise ValueError("need at least one client")
+            counts = split_clients(closed["clients"], self.shards)
+            loads = [
+                {"closed": {
+                    **closed, "clients": count,
+                    "seed": shard_seed(closed["seed"], shard),
+                }}
+                for shard, count in enumerate(counts)
+            ]
+        reports = [
+            router.run_shard(
+                shard, self._shard_options[shard], self._autoscale, **load
+            )
+            for shard, load in enumerate(loads)
+        ]
+        return ClusterResult(
+            shards=reports,
+            placement=self.placement,
+            autoscale=self.autoscale,
+            migrations=migrations,
+        )
 
     def _run_clock(self) -> None:
         try:
@@ -1014,7 +1078,7 @@ class ResilientCluster:
         return ResilientClusterResult(
             shards=reports,
             placement=self.placement,
-            autoscale="static",
+            autoscale=self.autoscale,
             migrations=0,
             records=self.records,
             resilience=resilience,
@@ -1023,20 +1087,23 @@ class ResilientCluster:
 
 def run_resilient_cluster(
     *,
-    open_arrivals: Sequence[Tuple[float, QuerySpec]],
+    open_arrivals: Optional[Sequence[Tuple[float, QuerySpec]]] = None,
+    closed: Optional[Dict] = None,
     shards: int,
     engine_options: Dict,
     placement: str = "hash",
+    autoscale: Optional[Dict] = None,
     shard_faults: Optional[FaultSchedule] = None,
-    retry_budget: int = 0,
+    retry_budget: Optional[int] = None,
     hedge=None,
     breaker=None,
     throttle=None,
-    failover: bool = True,
-) -> ResilientClusterResult:
-    """Run the coordinated (single-clock) resilient cluster.
+    failover: Optional[bool] = None,
+) -> ClusterResult:
+    """Run the cluster (:class:`ResilientCluster`, plain or reactive)
+    on ``open_arrivals`` or a ``closed`` population.
 
-    The shards share one clock, so the run is serial; parallelism lives
+    The run is serial; parallelism lives
     one level up, in the chaos harness's campaign points
     (:mod:`repro.cluster.chaos`).
 
@@ -1047,11 +1114,12 @@ def run_resilient_cluster(
     """
     global speculation_reruns
 
-    def run(speculate: bool) -> ResilientClusterResult:
+    def run(speculate: bool) -> ClusterResult:
         cluster = ResilientCluster(
             shards=shards,
             engine_options=engine_options,
             placement=placement,
+            autoscale=autoscale,
             shard_faults=shard_faults,
             retry_budget=retry_budget,
             hedge=hedge,
@@ -1061,7 +1129,7 @@ def run_resilient_cluster(
             watchdog_limit=engine_options["watchdog_limit"],
             _speculate=speculate,
         )
-        return cluster.run(open_arrivals)
+        return cluster.run(open_arrivals, closed)
 
     try:
         return run(True)

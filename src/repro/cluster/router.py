@@ -1,22 +1,23 @@
-"""The cluster front-end: route, fan out, aggregate.
+"""Cluster results and shard construction.
 
-A cluster is N independent :class:`~repro.workload.WorkloadEngine`
-shards — each with its own :class:`~repro.sim.events.SimulationClock`,
-processor pool, scheduler, and admission control (shared-nothing, like
-the paper's machine but one level up).  The router splits the arrival
-stream across shards with a :class:`~repro.cluster.placement`
-policy *before* any shard simulates, so every shard's run is
-self-contained and the fan-out can use a process pool without
-touching determinism: results are collected in shard order, and each
-shard's simulation depends only on its own arrival list and seed.
+A cluster is N :class:`~repro.workload.WorkloadEngine` shards — each
+with its own processor pool, scheduler, and admission control
+(shared-nothing, like the paper's machine but one level up) — run by
+:class:`~repro.cluster.resilience.ResilientCluster`: a plain run
+(no reactions) runs each shard alone on its own clock
+(:func:`run_shard`), a reactive one hosts them all on one simulated
+clock.  This module holds what every cluster run shares: the per-shard
+:class:`ShardReport`, the merged :class:`ClusterResult`, the per-shard
+seeds, client split and fault schedules, the engine builder and the
+plain shard runner.
 
 House invariants, pinned by tests:
 
 * ``shards=1`` with ``autoscale="static"`` is *byte-identical* to
   :func:`repro.api.run_workload` — the cluster layer is a strict
   superset of the single-engine workload path.
-* A fixed-seed N-shard run emits identical JSONL at ``workers=1`` and
-  ``workers=4``.
+* A plain shard (no reactions) reports what it would alone: its rows
+  and its ``makespan`` match a fresh engine run on its own arrivals.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from ..core.numeric import ordered_sum
 from ..workload.engine import WorkloadEngine
 from ..workload.metrics import WorkloadResult, percentile
 from ..workload.mix import QuerySpec
-from .autoscale import DEFAULT_COOLDOWN, ElasticEngine, make_autoscaler
-from .placement import make_placement
+from .autoscale import ElasticEngine, make_autoscaler
 
 #: Per-shard seed stride for closed-loop clients and deadline draws on
 #: shards beyond the first.  Shard 0 keeps the caller's seed verbatim
@@ -45,7 +45,7 @@ def shard_seed(seed: int, shard: int) -> int:
 
 @dataclass
 class ShardReport:
-    """One shard's run, as plain picklable data (pool-safe)."""
+    """One shard's run, as plain data."""
 
     shard: int
     rows: List[Dict]
@@ -295,36 +295,49 @@ class ClusterResult:
         return text
 
 
-# -- shard execution (process-pool entry points) --------------------------
+# -- shard construction ----------------------------------------------------
+
+
+def split_clients(clients: int, shards: int) -> List[int]:
+    """Closed-loop client counts per shard (round-robin remainder)."""
+    base, extra = divmod(clients, shards)
+    return [base + (1 if shard < extra else 0) for shard in range(shards)]
 
 
 def _build_engine(
-    payload: Dict, *, clock=None, on_query_done=None
+    options: Dict, autoscale: Optional[Dict] = None, **extra
 ) -> WorkloadEngine:
-    """One shard's engine from its payload: ``payload["engine"]`` is a
-    complete engine-options dict (:func:`repro.options.engine_options`),
-    ``payload["autoscale"]`` the elasticity block or ``None``."""
-    extra = {"clock": clock, "on_query_done": on_query_done}
-    if payload["autoscale"] is None:
-        return WorkloadEngine.from_options(payload["engine"], **extra)
-    scaling = dict(payload["autoscale"])
+    """One shard's engine: ``options`` is a complete engine-options dict
+    (:func:`repro.options.engine_options`), ``autoscale`` the
+    elasticity block (``policy``, ``scale_max``, ``scale_min``,
+    ``scale_cooldown``) or ``None``; ``extra`` carries the hosting
+    cluster's ``clock`` and ``on_query_done``."""
+    if autoscale is None:
+        return WorkloadEngine.from_options(options, **extra)
+    scaling = dict(autoscale)
     return ElasticEngine.from_options(
-        payload["engine"],
+        options,
         autoscaler=make_autoscaler(scaling.pop("policy")),
         **scaling,
         **extra,
     )
 
 
-def run_shard(payload: Dict) -> ShardReport:
-    """Run one shard end to end (module-level and picklable — the
-    process-pool entry point)."""
-    engine = _build_engine(payload)
-    closed = payload.get("closed")
-    if closed is not None and closed["clients"] == 0:
-        # More shards than clients: this one idles, but still reports.
-        result = engine.collect_result()
-    elif closed is not None:
+def run_shard(
+    shard: int,
+    options: Dict,
+    autoscale: Optional[Dict] = None,
+    arrivals: Sequence[Tuple[float, QuerySpec]] = (),
+    closed: Optional[Dict] = None,
+) -> ShardReport:
+    """Run one plain shard alone, on its own clock, and report it: the
+    engine built by :func:`_build_engine` serves ``arrivals``, or the
+    ``closed`` loop (the keywords of ``WorkloadEngine.run_closed``
+    plus ``mix`` and ``clients``)."""
+    engine = _build_engine(options, autoscale)
+    if closed is None:
+        result = engine.run_open(arrivals)
+    elif closed["clients"]:
         result = engine.run_closed(
             closed["mix"],
             closed["clients"],
@@ -334,140 +347,9 @@ def run_shard(payload: Dict) -> ShardReport:
             seed=closed["seed"],
         )
     else:
-        result = engine.run_open(payload["arrivals"])
-    return ShardReport.of(payload["shard"], engine, result)
-
-
-# -- the cluster run ------------------------------------------------------
-
-
-def split_open_arrivals(
-    arrivals: Sequence[Tuple[float, QuerySpec]],
-    shards: int,
-    placement,
-    context: Optional[Dict] = None,
-) -> Tuple[List[List[Tuple[float, QuerySpec]]], int]:
-    """Assign every arrival to a shard; returns the per-shard arrival
-    lists (original time order preserved) and the tenant migration
-    count (a tenant routed to a different shard than its previous
-    query — nonzero only under load-aware or positional placement)."""
-    placement = make_placement(placement)
-    placement.reset(shards, context)
-    per_shard: List[List[Tuple[float, QuerySpec]]] = [
-        [] for _ in range(shards)
-    ]
-    last_shard: Dict[str, int] = {}
-    migrations = 0
-    for index, (time, spec) in enumerate(arrivals):
-        shard = placement.place(index, time, spec)
-        if not 0 <= shard < shards:
-            raise ValueError(
-                f"placement {placement.name!r} returned shard {shard} "
-                f"outside [0, {shards})"
-            )
-        if spec.tenant is not None:
-            previous = last_shard.get(spec.tenant)
-            if previous is not None and previous != shard:
-                migrations += 1
-            last_shard[spec.tenant] = shard
-        per_shard[shard].append((time, spec))
-    return per_shard, migrations
-
-
-def split_clients(clients: int, shards: int) -> List[int]:
-    """Closed-loop client counts per shard (round-robin remainder)."""
-    base, extra = divmod(clients, shards)
-    return [base + (1 if shard < extra else 0) for shard in range(shards)]
-
-
-def run_cluster_shards(
-    *,
-    shards: int,
-    placement: str,
-    autoscale: str,
-    engine_options: Dict,
-    open_arrivals: Optional[Sequence[Tuple[float, QuerySpec]]] = None,
-    closed: Optional[Dict] = None,
-    scale_max: Optional[int] = None,
-    scale_min: Optional[int] = None,
-    scale_cooldown: float = DEFAULT_COOLDOWN,
-    workers: Optional[int] = None,
-) -> ClusterResult:
-    """Fan a pre-built arrival stream (or closed-loop population) over
-    ``shards`` independent engines and merge the reports.
-
-    ``engine_options`` carries the per-shard engine configuration (see
-    :func:`run_shard`); its ``machine_size``/``config``/``cost_model``
-    also size the placement's load forecast.  With ``workers`` > 1 the
-    shards run on a process pool; the output is byte-identical to the
-    serial run because every shard is self-contained and reports are
-    collected in shard order.
-    """
-    if shards < 1:
-        raise ValueError("a cluster needs at least one shard")
-    if (open_arrivals is None) == (closed is None):
-        raise ValueError("exactly one of open_arrivals/closed is required")
-    if closed is not None and closed["clients"] < 1:
-        raise ValueError("need at least one client")
-    placement_name = placement if isinstance(placement, str) else placement.name
-    autoscale_name = autoscale or "static"
-    autoscale_payload = None
-    if autoscale_name != "static":
-        base = engine_options["machine_size"]
-        resolved_max = scale_max if scale_max is not None else 2 * base
-        autoscale_payload = {
-            "policy": autoscale_name,
-            "scale_max": resolved_max,
-            "scale_min": scale_min,
-            "scale_cooldown": scale_cooldown,
-        }
-        if engine_options["share"] is None:
-            # An exclusive policy with no explicit share asks for the
-            # whole machine — which at scale_max would never fit the
-            # base capacity.  Pin the share to the base so elasticity
-            # changes *concurrency*, not per-query feasibility.
-            engine_options = {**engine_options, "share": base}
-
-    shard_faults = resolve_shard_faults(engine_options["faults"], shards)
-    migrations = 0
-    payloads: List[Dict] = []
-    if open_arrivals is not None:
-        per_shard, migrations = split_open_arrivals(
-            open_arrivals, shards, placement_name, engine_options
-        )
-        for shard in range(shards):
-            payloads.append({
-                "shard": shard,
-                "arrivals": per_shard[shard],
-                "engine": _shard_engine_options(
-                    engine_options, shard, fault=shard_faults[shard]
-                ),
-                "autoscale": autoscale_payload,
-            })
-    else:
-        counts = split_clients(closed["clients"], shards)
-        for shard in range(shards):
-            payloads.append({
-                "shard": shard,
-                "arrivals": None,
-                "closed": {
-                    **closed,
-                    "clients": counts[shard],
-                    "seed": shard_seed(closed["seed"], shard),
-                },
-                "engine": _shard_engine_options(
-                    engine_options, shard, fault=shard_faults[shard]
-                ),
-                "autoscale": autoscale_payload,
-            })
-
-    reports = _execute(payloads, workers)
-    return ClusterResult(
-        shards=reports,
-        placement=placement_name,
-        autoscale=autoscale_name,
-        migrations=migrations,
-    )
+        # More shards than clients: this one idles, but still reports.
+        result = engine.collect_result()
+    return ShardReport.of(shard, engine, result)
 
 
 def _shard_engine_options(
@@ -499,54 +381,29 @@ def resolve_shard_faults(faults, shards: int) -> List:
     if isinstance(faults, FaultSchedule):
         return [faults] * shards
     if isinstance(faults, dict):
-        resolved: List = [None] * shards
-        for shard, schedule in faults.items():
+        for shard in faults:
             if not isinstance(shard, int) or not 0 <= shard < shards:
                 raise ValueError(
                     f"faults dict key {shard!r} is not a shard index in "
                     f"[0, {shards})"
                 )
-            if schedule is not None and not isinstance(
-                schedule, FaultSchedule
-            ):
-                raise ValueError(
-                    f"faults[{shard}] must be a FaultSchedule or None, "
-                    f"got {type(schedule).__name__}"
-                )
-            resolved[shard] = schedule
-        return resolved
-    if isinstance(faults, (list, tuple)):
+        resolved = [faults.get(shard) for shard in range(shards)]
+    elif isinstance(faults, (list, tuple)):
         if len(faults) != shards:
             raise ValueError(
                 f"faults sequence has {len(faults)} entries for "
                 f"{shards} shards"
             )
-        for shard, schedule in enumerate(faults):
-            if schedule is not None and not isinstance(
-                schedule, FaultSchedule
-            ):
-                raise ValueError(
-                    f"faults[{shard}] must be a FaultSchedule or None, "
-                    f"got {type(schedule).__name__}"
-                )
-        return list(faults)
-    raise ValueError(
-        "faults must be a FaultSchedule, a per-shard sequence, or a "
-        "{shard: schedule} dict"
-    )
-
-
-def _execute(payloads: List[Dict], workers: Optional[int]) -> List[ShardReport]:
-    if workers is not None and workers > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(payloads))
-            ) as pool:
-                return list(pool.map(run_shard, payloads))
-        except Exception:
-            # Parallelism is an optimization, never a correctness
-            # risk: anything the pool cannot finish re-runs serially.
-            pass
-    return [run_shard(payload) for payload in payloads]
+        resolved = list(faults)
+    else:
+        raise ValueError(
+            "faults must be a FaultSchedule, a per-shard sequence, or a "
+            "{shard: schedule} dict"
+        )
+    for shard, schedule in enumerate(resolved):
+        if schedule is not None and not isinstance(schedule, FaultSchedule):
+            raise ValueError(
+                f"faults[{shard}] must be a FaultSchedule or None, "
+                f"got {type(schedule).__name__}"
+            )
+    return resolved

@@ -124,7 +124,7 @@ OPTIONS: Tuple[Option, ...] = (
            takes=C, cli=C, ops=C),
     Option("scale_cooldown", float, None, "simulated seconds between scale events",
            takes=C, cli=C, ops=C),
-    Option("workers", int, None, "run shards on a process pool (byte-identical to the serial run)",
+    Option("workers", int, None, "no effect on cluster runs (a cluster run is serial)",
            takes=C, cli=C, ops=C),
     # -- traffic -------------------------------------------------------------
     Option("arrivals", ("poisson", "fixed", "closed"), "poisson",
@@ -205,7 +205,7 @@ OPTIONS: Tuple[Option, ...] = (
            takes=C, ops=C),
     Option("throttle", (bool, dict), None, "per-tenant token-bucket SLOs: true or a policy",
            takes=C, ops=C),
-    Option("failover", bool, None, "false keeps the pre-routed loss behaviour", takes=C, ops=C),
+    Option("failover", bool, None, "false lets a dead home shard fail its queries", takes=C, ops=C),
 )
 
 

@@ -333,6 +333,13 @@ def _facade_options(op: str, request: Dict) -> Dict:
     return options
 
 
+def _reject_constant(token: str):
+    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``:
+    Python accepts them, RFC 8259 does not, and a non-finite knob would
+    poison every number it reaches."""
+    raise ValueError(f"{token} is not valid JSON (RFC 8259)")
+
+
 def serve(
     in_stream: IO[str],
     out_stream: IO[str],
@@ -340,7 +347,8 @@ def serve(
 ) -> int:
     """Pump line-delimited JSON requests through a service.
 
-    Blank lines are skipped; unparseable lines produce an error
+    Blank lines are skipped; unparseable lines — bad syntax, the
+    non-finite constants, nesting too deep to parse — produce an error
     response on their line rather than aborting the stream.  Returns
     the number of requests served.
     """
@@ -351,8 +359,8 @@ def serve(
         if not line:
             continue
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
+            request = json.loads(line, parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:
             response = {"ok": False, "error": f"bad JSON: {exc}"}
         else:
             response = service.handle(request)

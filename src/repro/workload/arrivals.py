@@ -15,6 +15,7 @@ workload JSONL byte-identical across runs.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List
 
@@ -69,7 +70,11 @@ def make_arrivals(
 
 
 def _check(rate: float, duration: float) -> None:
-    if rate <= 0:
-        raise ValueError("arrival rate must be positive")
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    # NaN fails every comparison and an infinite rate or horizon never
+    # ends the arrival loop: both would hang the generators.
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"arrival rate must be finite and positive, got {rate}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(
+            f"duration must be finite and non-negative, got {duration}"
+        )

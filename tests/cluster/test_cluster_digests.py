@@ -1,13 +1,15 @@
-"""Byte pins for the cluster router paths and the analytic forecast.
+"""Byte pins for plain and reactive cluster runs and the analytic
+forecast.
 
 Each case hashes the row population (``chaos.rows_digest``) and the
 shard reports of one small run, and keeps the summary line verbatim;
 ``tests/golden/cluster_digests.json`` holds the values.  The cases
-cover what the routing core decides: every placement on the
-coordinated clock under a shard crash with repair and retries, a
-stalled shard with hedging, a breaker, throttled rated tenants and
-``failover=False``; pre-routed ``least_loaded`` and ``round_robin``
-runs; a ``predictive`` autoscaler; and an ``sjf`` workload sized by
+cover what the routing core decides: every placement under a shard
+crash with repair and retries, a stalled shard with hedging, a
+breaker, throttled rated tenants and ``failover=False``; plain
+``least_loaded`` and ``round_robin`` runs (keyed ``pre_routed/*``: a
+plain run places its whole stream before any shard runs);
+a plain ``predictive`` autoscaler; and an ``sjf`` workload sized by
 the service estimator.
 
 Regenerate deliberately, after a documented semantics change::

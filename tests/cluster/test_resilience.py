@@ -11,10 +11,10 @@ from repro.cluster import (
     ResilientClusterResult,
     ThrottlePolicy,
     build_ring,
+    make_placement,
     resolve_shard_faults,
     ring_lookup,
     ring_lookup_live,
-    split_open_arrivals,
     synthesize_trace,
 )
 from repro.cluster.chaos import check_invariants
@@ -196,7 +196,7 @@ class TestConservationAndDeterminism:
 
 class TestOneRoutingCore:
     """With nothing to react to, the coordinated router routes every
-    query exactly where the pre-routed split would have."""
+    query exactly where a plain run's up-front ``place`` would have."""
 
     @pytest.mark.parametrize("tenanted", [False, True])
     @pytest.mark.parametrize("placement", PLACEMENT_NAMES)
@@ -219,14 +219,13 @@ class TestOneRoutingCore:
         arrivals = [(record.arrival, record.spec) for record in result.records]
         assert len(arrivals) > 20
         assert any(spec.tenant is not None for _, spec in arrivals) == tenanted
-        per_shard, _migrations = split_open_arrivals(
-            arrivals, 3, placement,
-            {"machine_size": 12, "config": FAST, "cost_model": None},
-        )
-        routed = [[] for _ in range(3)]
-        for pair, row in zip(arrivals, result.rows()):
-            routed[row["shard"]].append(pair)
-        assert routed == per_shard
+        policy = make_placement(placement)
+        policy.reset(3, {"machine_size": 12, "config": FAST, "cost_model": None})
+        expected = [
+            policy.place(index, time, spec)
+            for index, (time, spec) in enumerate(arrivals)
+        ]
+        assert [row["shard"] for row in result.rows()] == expected
 
 
 class TestTraceReplayUnderFaults:
@@ -250,7 +249,7 @@ class TestTraceReplayUnderFaults:
 
 
 class TestResilientDispatch:
-    def test_plain_run_cluster_stays_on_the_prerouted_path(self):
+    def test_plain_run_cluster_returns_a_plain_result(self):
         result = api.run_cluster(
             "wide_bushy", shards=2, arrivals="poisson", rate=0.2,
             duration=20.0, seed=3, machine_size=12, policy="exclusive",
@@ -277,9 +276,33 @@ class TestResilientDispatch:
                 share=12, cardinality=500, config=FAST,
             )
 
-    def test_autoscale_refused(self):
-        with pytest.raises(ValueError, match="autoscale"):
-            run_cluster(autoscale="reactive", scale_max=24)
+    @pytest.mark.parametrize("knob", [
+        dict(retry_budget=0), dict(hedge=True), dict(breaker=True),
+        dict(throttle=True), dict(failover=True),
+        dict(shard_faults=FaultSchedule(seed=0)),
+    ], ids=lambda knob: next(iter(knob)))
+    def test_closed_loop_with_any_reaction_names_the_reason(self, knob):
+        with pytest.raises(ValueError, match="follow its logical query"):
+            api.run_cluster(
+                "wide_bushy", shards=2, arrivals="closed", clients=2,
+                queries_per_client=2, machine_size=12, share=12,
+                cardinality=500, config=FAST, **knob,
+            )
+
+    def test_autoscale_combines_with_resilience(self):
+        knobs = dict(
+            autoscale="reactive", scale_max=24, rate=0.8,
+            shard_faults=kill_schedule(0, at=8.0, repair_at=20.0),
+        )
+        first = run_cluster(**knobs)
+        second = run_cluster(**knobs)
+        assert check_invariants(first) == []
+        assert first.autoscale == "reactive"
+        assert first.resilience["shard_crashes"] == 1
+        assert first.resilience["shard_repairs"] == 1
+        assert first.scale_ups() > 0
+        assert first.rows() == second.rows()
+        assert first.per_shard() == second.per_shard()
 
 
 class TestResolveShardFaults:

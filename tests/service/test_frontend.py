@@ -114,6 +114,39 @@ class TestServe:
         assert "bad JSON" in responses[0]["error"]
         assert responses[1]["ok"]
 
+    def test_deep_nesting_does_not_kill_the_stream(self):
+        """200 000 ``[`` overflow the decoder's recursion limit; the
+        line is bad JSON, and the stats request after it is answered."""
+        served, responses = self.pump("[" * 200_000, '{"stats": true}')
+        assert served == 2
+        assert not responses[0]["ok"]
+        assert responses[0]["error"].startswith("bad JSON: ")
+        assert responses[1]["ok"] and responses[1]["op"] == "stats"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constants_are_bad_json(self, token):
+        """Python's decoder accepts these; RFC 8259 does not, and a NaN
+        think time used to come back ``ok`` with NaN latencies."""
+        served, responses = self.pump(
+            '{"op": "workload", "arrivals": "closed", '
+            f'"queries_per_client": 2, "think_time": {token}}}'
+        )
+        assert served == 1
+        assert not responses[0]["ok"]
+        assert responses[0]["error"] == (
+            f"bad JSON: {token} is not valid JSON (RFC 8259)"
+        )
+
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize("rate", ["NaN", "1e999"])
+    def test_non_finite_rate_does_not_hang_the_stream(self, rate):
+        served, responses = self.pump(
+            f'{{"op": "workload", "rate": {rate}}}', '{"stats": true}'
+        )
+        assert served == 2
+        assert not responses[0]["ok"]
+        assert responses[1]["ok"]
+
     def test_responses_are_sorted_key_json(self):
         _, _ = self.pump(json.dumps({"op": "nope"}))
         out = io.StringIO()

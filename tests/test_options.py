@@ -282,7 +282,7 @@ class TestEngineOptions:
         assert set(options) == {
             row.name for row in OPTIONS if row.engine
         } | {"deadline_seed"}
-        engine = _build_engine({"engine": options, "autoscale": None})
+        engine = _build_engine(options)
         assert isinstance(engine, WorkloadEngine)
         assert engine.machine.size == 40
         # Every constructor keyword a knob can reach is in the dict
@@ -299,7 +299,7 @@ class TestEngineOptions:
             engine_options(shceduler="wfq")
         stray = {**engine_options(), "shceduler": "wfq"}
         with pytest.raises(TypeError, match="shceduler"):
-            _build_engine({"engine": stray, "autoscale": None})
+            _build_engine(stray)
 
     def test_an_incomplete_dict_is_refused(self):
         from repro.cluster.router import _build_engine
@@ -307,18 +307,18 @@ class TestEngineOptions:
         partial = engine_options()
         del partial["machine_size"]
         with pytest.raises(KeyError, match="machine_size"):
-            _build_engine({"engine": partial, "autoscale": None})
+            _build_engine(partial)
 
     def test_elastic_engines_build_from_the_same_dict(self):
         from repro.cluster import ElasticEngine
         from repro.cluster.router import _build_engine
 
-        engine = _build_engine({
-            "engine": engine_options(machine_size=8, share=4),
-            "autoscale": {
+        engine = _build_engine(
+            engine_options(machine_size=8, share=4),
+            {
                 "policy": "reactive", "scale_max": 16, "scale_min": None,
                 "scale_cooldown": 5.0,
             },
-        })
+        )
         assert isinstance(engine, ElasticEngine)
         assert (engine.base_capacity, engine.scale_max) == (8, 16)

@@ -69,3 +69,15 @@ class TestDispatch:
     def test_validation(self, rate, duration):
         with pytest.raises(ValueError):
             poisson_arrivals(rate, duration)
+
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    @pytest.mark.parametrize("rate,duration", [
+        (float("nan"), 10), (float("inf"), 10), (1.0, float("inf")),
+        (1.0, float("nan")), (float("-inf"), 10),
+    ])
+    def test_non_finite_knobs_are_refused(self, kind, rate, duration):
+        """NaN slips past ``rate <= 0``; an infinite rate or horizon
+        never ends the loop — each used to hang the generator."""
+        with pytest.raises(ValueError, match="finite"):
+            make_arrivals(kind, rate, duration)
