@@ -14,8 +14,10 @@ does exactly that on a small retail snowflake schema:
 1. phase one picks the cheapest cartesian-free bushy tree from the
    foreign-key query graph (real cardinalities, real selectivities);
 2. phase two picks a strategy by simulation;
-3. the chosen schedule is executed on *real data* with the generalized
-   natural-join engine and checked against the sequential oracle;
+3. the chosen schedule is executed on *real data* by the same executor
+   that runs the paper's Wisconsin query — it resolves each join as a
+   natural join because the operands are not Wisconsin relations — and
+   checked against the sequential natural-join oracle;
 4. the simulated machine reports the expected response time.
 
 Run:  python examples/snowflake_query.py
@@ -23,8 +25,9 @@ Run:  python examples/snowflake_query.py
 
 import random
 
-from repro.core import get_strategy, render
-from repro.engine.natural import execute_natural_schedule, natural_reference
+from repro import run
+from repro.core import render
+from repro.engine.local import execute_schedule, natural_reference
 from repro.optimizer import QueryGraph, catalog_for, optimal_bushy_tree, two_phase_optimize
 from repro.relational import Relation, Schema
 
@@ -113,7 +116,7 @@ def main() -> None:
     print("\n=== executing the chosen plan on real data ===")
     database = build_database()
     reference = natural_reference(plan.tree, database)
-    execution = execute_natural_schedule(plan.schedule, database)
+    execution = execute_schedule(plan.schedule, database)
     print(f"result: {execution.relation.cardinality()} rows, "
           f"schema {execution.relation.schema.names()}")
     assert execution.relation.same_bag(reference), "parallel result differs!"
@@ -122,8 +125,9 @@ def main() -> None:
     print("\n=== every strategy computes the same snowflake result ===")
     catalog = catalog_for(graph)
     for name in ("SP", "SE", "RD", "FP"):
-        schedule = get_strategy(name).schedule(plan.tree, catalog, 8)
-        execution = execute_natural_schedule(schedule, database)
+        execution = run(
+            plan.tree, name, 8, "local", catalog=catalog, relations=database
+        )
         ok = execution.relation.same_bag(reference)
         print(f"  {name}: {execution.relation.cardinality()} rows, matches: {ok}")
         assert ok

@@ -5,7 +5,11 @@ The simulator predicts performance; this example demonstrates
 executes the same parallel schedules the simulator times — with actual
 hash redistribution and the actual simple/pipelining hash-join
 algorithms per processor — and checks that all four strategies return
-the exact same bag of tuples as the sequential reference.
+the exact same bag of tuples as the sequential reference.  The
+supplied relations are Wisconsin relations, so the executor resolves
+every join as the paper's regular query (join on ``unique1``, project
+to a Wisconsin relation); the same call on foreign-key relations runs
+natural joins (see ``snowflake_query.py``).
 
 Run:  python examples/wisconsin_workload.py
 """

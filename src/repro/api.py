@@ -157,9 +157,11 @@ def run(
         for the real-data backends; generated Wisconsin data at
         ``cardinality`` tuples when omitted.
     ``resolve``
-        Join-semantics resolver for ``backend="threaded"`` (defaults
-        to natural-join semantics, or Wisconsin semantics when this
-        call generated the Wisconsin data itself).
+        Join-semantics resolver for the real-data backends,
+        ``resolve(left_schema, right_schema) -> JoinResolution``.  By
+        default both apply :func:`repro.relational.query.resolve_join`:
+        the paper's Wisconsin query when both operands are Wisconsin
+        relations (generated or supplied), the natural join otherwise.
     ``timeout``
         Wall-clock bound in seconds for ``backend="threaded"`` — the
         only backend that can be abandoned mid-run (its dataflow
@@ -253,8 +255,7 @@ def run(
             f"backend {backend!r} runs on real data; data skew is a "
             f"property of the relations, not a parameter"
         )
-    generated = relations is None
-    if generated:
+    if relations is None:
         from .relational.wisconsin import make_query_relations
 
         relations = dict(
@@ -262,23 +263,12 @@ def run(
         )
 
     if backend == "local":
-        if resolve is not None:
-            raise ValueError("'resolve' applies to backend='threaded' only")
         from .engine.local import execute_schedule
 
-        return execute_schedule(schedule, relations)
+        return execute_schedule(schedule, relations, resolve=resolve)
 
     from .engine.threaded import execute_threaded
 
-    if resolve is None:
-        if generated:
-            from .relational.query import wisconsin_resolution
-
-            resolve = wisconsin_resolution
-        else:
-            from .relational.query import natural_resolution
-
-            resolve = natural_resolution
     return execute_threaded(
         schedule,
         relations,

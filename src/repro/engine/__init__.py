@@ -8,6 +8,13 @@ their submodules (:func:`repro.engine.simulate.simulate_strategy`,
 :func:`repro.engine.threaded.execute_threaded`,
 :func:`repro.engine.ideal.ideal_simulation`) for callers that
 genuinely need an engine rather than the facade.
+
+The two real executors — sequential ``execute_schedule`` and the
+threaded dataflow — resolve every join by one rule
+(:func:`repro.relational.query.resolve_join`: the paper's Wisconsin
+query when both operands are Wisconsin relations, the natural join
+otherwise) and are checked against the sequential oracles exported
+here, :func:`reference_result` and :func:`natural_reference`.
 """
 
 from ..sim.machine import MachineConfig
@@ -16,9 +23,9 @@ from .ideal import ideal_diagram, label_map_for
 from .local import (
     ExecutionResult,
     TaskExecution,
+    natural_reference,
     reference_result,
 )
-from .natural import execute_natural_schedule, natural_reference
 from .simulate import simulate_schedule
 from .threaded import ThreadedExecutor
 from .trace import critical_path, spans_of, task_marks, to_json
@@ -36,7 +43,6 @@ __all__ = [
     "task_marks",
     "to_json",
     "ThreadedExecutor",
-    "execute_natural_schedule",
     "natural_reference",
     "ideal_diagram",
     "label_map_for",

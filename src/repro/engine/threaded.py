@@ -12,9 +12,9 @@ from the discrete-event simulator; see DESIGN.md).  Its value is that
 the dataflow — including pipelining through both operands of the
 symmetric hash-join — actually runs concurrently and must produce the
 same answer as the sequential oracle, which the tests assert for all
-strategies.  Natural-join semantics (see
-:mod:`repro.relational.query`) are used, so it runs both the Wisconsin
-query and arbitrary snowflake queries.
+strategies.  Joins resolve by the same rule as the sequential
+executor (:func:`repro.engine.local.resolve_tasks`), so it runs both
+the Wisconsin query and arbitrary snowflake queries.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.schedule import InputSpec, JoinTask, ParallelSchedule
+from ..core.schedule import JoinTask, ParallelSchedule
 from ..relational.hashjoin import PipeliningHashJoin, SimpleHashJoin
 from ..relational.partition import bucket
-from ..relational.query import JoinResolution, natural_resolution
+from ..relational.query import JoinResolution
 from ..relational.relation import Relation
 from ..relational.schema import Schema
+from .local import resolve_tasks
 
 #: Stream sentinel: one per producer worker, counted by consumers.
 _EOS = object()
@@ -60,13 +61,12 @@ class ThreadedExecutor:
         schedule: ParallelSchedule,
         relations: Mapping[str, Relation],
         queue_capacity: int = 256,
-        resolve=natural_resolution,
+        resolve=None,
     ):
         """``resolve(left_schema, right_schema) -> JoinResolution``
-        supplies the join semantics: :func:`natural_resolution` for
-        snowflake-style queries (the default) or
-        :func:`repro.relational.query.wisconsin_resolution` for the
-        paper's regular query."""
+        supplies the join semantics; ``None`` applies
+        :func:`repro.relational.query.resolve_join` (Wisconsin
+        semantics for Wisconsin operands, natural joins otherwise)."""
         self.schedule = schedule
         self.relations = relations
         self.queue_capacity = queue_capacity
@@ -76,16 +76,10 @@ class ThreadedExecutor:
 
     # -- wiring ----------------------------------------------------------
 
-    def _operand_schema(self, spec: InputSpec) -> Schema:
-        if spec.is_base:
-            return self.relations[spec.source].schema
-        return self._wirings[spec.source].result_schema
-
     def _build(self) -> None:
+        joins = resolve_tasks(self.schedule, self.relations, self.resolve)
         for task in self.schedule.tasks:
-            left_schema = self._operand_schema(task.left_input)
-            right_schema = self._operand_schema(task.right_input)
-            resolution = self.resolve(left_schema, right_schema)
+            left_schema, right_schema, resolution = joins[task.index]
             wiring = _TaskWiring(
                 task=task,
                 resolution=resolution,
@@ -299,7 +293,7 @@ def execute_threaded(
     relations: Mapping[str, Relation],
     *,
     timeout: float = 60.0,
-    resolve=natural_resolution,
+    resolve=None,
 ) -> Relation:
     """One-call front end over :class:`ThreadedExecutor`."""
     return ThreadedExecutor(schedule, relations, resolve=resolve).run(timeout)

@@ -159,7 +159,10 @@ OPTIONS: Tuple[Option, ...] = (
     # -- execution context ---------------------------------------------------
     Option("config", None, None, "MachineConfig of every simulated machine", engine=True),
     Option("cost_model", None, None, "CostModel of the Section 4.3 formula", engine=True),
-    Option("skew_theta", float, 0.0, "Zipf partitioning skew for every query",
+    Option("skew_theta", float, 0.0,
+           "Zipf partitioning skew for every query: finite, >= 0, and small "
+           "enough that every fragment of a split keeps a share of at "
+           "least 2**-500",
            cli=WC, ops=QWC, engine=True, flag="--skew"),
     # -- faults and recovery -------------------------------------------------
     Option("faults", (dict, list), None, _FAULTS, ops=WC, engine=True),

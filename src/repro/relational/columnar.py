@@ -8,8 +8,9 @@ instead of a Python-level dict probe per tuple.  The kernels return
 order of the reference drive** — probe order with build-insertion
 tie-breaks for the simple join, alternating-arrival order for the
 pipelining join — so the vectorized executor produces not just the
-same bag but the same row sequence, and result rows are assembled from
-the original Python row objects (no ``np.int64`` leaking into tuples).
+same bag but the same row sequence, and result rows are assembled by
+the join's combiner from the original Python row objects (no
+``np.int64`` leaking into tuples).
 
 NumPy is optional: the import is gated, ``HAVE_NUMPY`` advertises
 availability, and callers fall back to the row-at-a-time classes when
@@ -18,7 +19,7 @@ it is absent or when the caller pins ``use_columnar=False``.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly by HAVE_NUMPY branches
     import numpy as _np
@@ -102,20 +103,23 @@ def pipelining_join_pairs(
 def join_fragment_rows(
     left_rows: Sequence[Row],
     right_rows: Sequence[Row],
-    key_index: int,
+    left_key: int,
+    right_key: int,
     algorithm: str,
     build_side: str,
+    combine: Callable[[Row, Row], Row],
 ) -> List[Row]:
-    """One fragment join, vectorized, in Wisconsin combine semantics.
+    """One fragment join, vectorized: ``combine(left_row, right_row)``
+    for every match, in the same sequence the row-at-a-time executor
+    produces, built from the original Python row objects.
 
-    Returns result rows ``(left.u2, right.u2, left.filler)`` in the
-    same sequence the row-at-a-time executor produces, built from the
-    original Python row objects.
+    ``left_key`` / ``right_key`` index the (integer) join attribute of
+    each operand's rows.
     """
     if _np is None:  # pragma: no cover - callers gate on HAVE_NUMPY
         raise RuntimeError("columnar kernels need numpy")
-    left_keys = _keys(left_rows, key_index)
-    right_keys = _keys(right_rows, key_index)
+    left_keys = _keys(left_rows, left_key)
+    right_keys = _keys(right_rows, right_key)
     if algorithm == "simple":
         if build_side == "left":
             build_idx, probe_idx = simple_join_pairs(left_keys, right_keys)
@@ -125,10 +129,11 @@ def join_fragment_rows(
             left_of, right_of = probe_idx, build_idx
     else:
         left_of, right_of = pipelining_join_pairs(left_keys, right_keys)
-    return [
-        (left_rows[i][1], right_rows[j][1], left_rows[i][2])
-        for i, j in zip(left_of.tolist(), right_of.tolist())
-    ]
+    return list(map(
+        combine,
+        map(left_rows.__getitem__, left_of.tolist()),
+        map(right_rows.__getitem__, right_of.tolist()),
+    ))
 
 
 __all__ = [

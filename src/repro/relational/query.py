@@ -8,9 +8,11 @@ that: *natural* equi-joins — the join key is the single attribute name
 the two operand schemas share, the result drops the duplicate column —
 which is exactly how star/snowflake foreign-key queries compose.
 
-The generalized local executor (:func:`repro.engine.local.
-execute_natural_schedule`) uses these helpers to run any parallel
-schedule on any foreign-key-joinable set of relations.
+A :class:`JoinResolution` carries one join's semantics to the real
+executors (:func:`repro.engine.local.execute_schedule` and
+:mod:`repro.engine.threaded`); :func:`resolve_join` is the one rule
+both apply by default, so they run the paper's Wisconsin query and
+any foreign-key-joinable set of relations alike.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from .operators import wisconsin_combine
 from .relation import Relation, Row
 from .schema import Schema
+from .wisconsin import WISCONSIN_SCHEMA
 
 
 class JoinKeyError(ValueError):
@@ -88,11 +92,8 @@ def wisconsin_resolution(left: Schema, right: Schema) -> JoinResolution:
     """The paper's regular-query semantics (Section 4.1): join on
     ``unique1``, project to ``(left.unique2, right.unique2,
     left.filler)`` so the result is again a Wisconsin relation."""
-    from .operators import wisconsin_combine
-    from .wisconsin import WISCONSIN_SCHEMA
-
     for schema in (left, right):
-        if schema.names() != WISCONSIN_SCHEMA.names():
+        if not _is_wisconsin(schema):
             raise ValueError(
                 f"wisconsin_resolution needs Wisconsin operands, got "
                 f"{schema.names()}"
@@ -103,6 +104,24 @@ def wisconsin_resolution(left: Schema, right: Schema) -> JoinResolution:
         combine=wisconsin_combine,
         result_schema=WISCONSIN_SCHEMA,
     )
+
+
+def resolve_join(left: Schema, right: Schema) -> JoinResolution:
+    """The default join semantics of the real executors: the paper's
+    regular query when both operands are Wisconsin relations, the
+    natural join otherwise.
+
+    A natural join of two Wisconsin schemas is ambiguous (they share
+    every attribute), so this rule never overrides a natural join that
+    would otherwise resolve.
+    """
+    if _is_wisconsin(left) and _is_wisconsin(right):
+        return wisconsin_resolution(left, right)
+    return natural_resolution(left, right)
+
+
+def _is_wisconsin(schema: Schema) -> bool:
+    return schema.names() == WISCONSIN_SCHEMA.names()
 
 
 def natural_join(left: Relation, right: Relation) -> Relation:

@@ -87,7 +87,7 @@ class QueryService:
             if op == "stats":
                 return self._stats()
             return self._count(op, getattr(self, f"_{op}")(request))
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             return self._error(str(exc))
 
     def _count(self, op: str, response: Dict) -> Dict:

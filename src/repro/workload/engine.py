@@ -292,6 +292,8 @@ class WorkloadEngine:
             raise ValueError("max_concurrent must be positive")
         if queue_limit is not None and queue_limit < 0:
             raise ValueError("queue_limit must be non-negative")
+        if memory_budget_bytes is not None and memory_budget_bytes < 0:
+            raise ValueError("memory_budget_bytes must be non-negative")
         if recovery not in RECOVERY_POLICIES:
             raise ValueError(
                 f"recovery must be one of {RECOVERY_POLICIES}, got {recovery!r}"

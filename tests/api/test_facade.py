@@ -7,9 +7,10 @@ from repro import api
 from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
 from repro.core.shapes import example_tree
 from repro.engine.ideal import ideal_simulation
-from repro.engine.local import execute_schedule
+from repro.engine.local import execute_schedule, natural_reference, reference_result
 from repro.engine.simulate import simulate_strategy
 from repro.engine.threaded import execute_threaded
+from repro.relational import make_query_relations
 from repro.relational.query import wisconsin_resolution
 from repro.sim import MachineConfig
 
@@ -111,6 +112,35 @@ class TestBackendDefaults:
         assert len(result) == 100
 
 
+class TestRealBackendsAgree:
+    """``local`` and ``threaded`` resolve joins by one rule, so both
+    return the oracle's bag whoever made the relations."""
+
+    @pytest.mark.parametrize("data", ["generated", "wisconsin", "star"])
+    @pytest.mark.parametrize("backend", ["local", "threaded"])
+    def test_oracle_bag(
+        self, backend, data, names6, relations6, catalog6,
+        star_database, star_tree, star_catalog,
+    ):
+        if data == "generated":
+            tree, options = make_shape("wide_bushy", NAMES10), {"cardinality": 100}
+            generated = make_query_relations(10, 100, seed=0)
+            expected = reference_result(tree, dict(zip(NAMES10, generated)))
+        elif data == "wisconsin":
+            tree = make_shape("wide_bushy", names6)
+            options = {"catalog": catalog6, "relations": relations6}
+            expected = reference_result(tree, relations6)
+        else:
+            tree = star_tree
+            options = {"catalog": star_catalog, "relations": star_database}
+            expected = natural_reference(tree, star_database)
+        if backend == "threaded":
+            options["timeout"] = 30
+        result = api.run(tree, "SE", 5, backend, **options)
+        relation = result.relation if backend == "local" else result
+        assert relation.same_bag(expected)
+
+
 class TestArgumentPolicing:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -149,12 +179,20 @@ class TestArgumentPolicing:
                 cardinality=100, skew_theta=0.5,
             )
 
-    def test_local_rejects_resolve(self):
-        with pytest.raises(ValueError, match="threaded"):
-            api.run(
-                "wide_bushy", "SE", 4, "local",
-                cardinality=100, resolve=wisconsin_resolution,
-            )
+    def test_local_accepts_resolve(self):
+        """Both real-data backends take a resolver; ``local`` asks it
+        once per task."""
+        seen = []
+
+        def resolve(left, right):
+            seen.append((left, right))
+            return wisconsin_resolution(left, right)
+
+        result = api.run(
+            "wide_bushy", "SE", 4, "local", cardinality=100, resolve=resolve,
+        )
+        assert len(result.relation) == 100
+        assert len(seen) == len(result.tasks)
 
 
 class TestTimeout:

@@ -1,37 +1,10 @@
-"""Generalized (natural-join) parallel execution on real data."""
-
-import random
+"""Natural-join parallel execution on real data, through the same
+executor as the Wisconsin query."""
 
 import pytest
 
-from repro.core import Catalog, get_strategy
-from repro.core.trees import Join, Leaf
-from repro.engine.natural import execute_natural_schedule, natural_reference
-from repro.relational import Relation, Schema
-
-
-@pytest.fixture(scope="module")
-def star_database():
-    rng = random.Random(11)
-    dims = {
-        "d1": Relation(Schema.ints("k1", "v1"), [(i, i * 2) for i in range(20)]),
-        "d2": Relation(Schema.ints("k2", "v2"), [(i, i * 3) for i in range(10)]),
-    }
-    fact = Relation(
-        Schema.ints("f", "k1", "k2"),
-        [(i, rng.randrange(20), rng.randrange(10)) for i in range(300)],
-    )
-    return {"fact": fact, **dims}
-
-
-@pytest.fixture(scope="module")
-def star_tree():
-    return Join(Join(Leaf("fact"), Leaf("d1")), Leaf("d2"))
-
-
-@pytest.fixture(scope="module")
-def star_catalog():
-    return Catalog({"fact": 300, "d1": 20, "d2": 10})
+from repro.core import get_strategy
+from repro.engine.local import execute_schedule, natural_reference
 
 
 class TestNaturalExecution:
@@ -43,13 +16,13 @@ class TestNaturalExecution:
         schedule = get_strategy(strategy).schedule(
             star_tree, star_catalog, processors
         )
-        execution = execute_natural_schedule(schedule, star_database)
+        execution = execute_schedule(schedule, star_database)
         reference = natural_reference(star_tree, star_database)
         assert execution.relation.same_bag(reference)
 
     def test_result_schema(self, star_database, star_tree, star_catalog):
         schedule = get_strategy("SP").schedule(star_tree, star_catalog, 3)
-        execution = execute_natural_schedule(schedule, star_database)
+        execution = execute_schedule(schedule, star_database)
         assert execution.relation.schema.names() == (
             "f", "k1", "k2", "v1", "v2",
         )
@@ -58,9 +31,8 @@ class TestNaturalExecution:
         self, star_database, star_tree, star_catalog
     ):
         schedule = get_strategy("FP").schedule(star_tree, star_catalog, 4)
-        execution = execute_natural_schedule(schedule, star_database)
-        root = schedule.tasks[-1].index
-        total = sum(f.cardinality() for f in execution.fragments_by_task[root])
+        execution = execute_schedule(schedule, star_database)
+        total = sum(f.cardinality() for f in execution.tasks[-1].fragments)
         assert total == execution.relation.cardinality() == 300
 
     def test_build_side_right_still_correct(
@@ -86,7 +58,7 @@ class TestNaturalExecution:
             ),
         ]
         schedule = ParallelSchedule("X", star_tree, 2, tasks).validate()
-        execution = execute_natural_schedule(schedule, star_database)
+        execution = execute_schedule(schedule, star_database)
         assert execution.relation.same_bag(
             natural_reference(star_tree, star_database)
         )
@@ -109,7 +81,7 @@ class TestSnowflake:
             ),
         )
         database = snowflake.build_database()
-        execution = execute_natural_schedule(plan.schedule, database)
+        execution = execute_schedule(plan.schedule, database)
         assert execution.relation.same_bag(
             natural_reference(plan.tree, database)
         )

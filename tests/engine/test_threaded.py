@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Catalog, get_strategy, make_shape
 from repro.engine import reference_result
-from repro.engine.natural import natural_reference
+from repro.engine.local import natural_reference
 from repro.engine.threaded import ThreadedExecutor, execute_threaded
 from repro.relational.query import wisconsin_resolution
 

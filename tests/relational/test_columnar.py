@@ -82,7 +82,7 @@ class TestKernelProperties:
         build = make_rows("b", random_keys(rng, nb, span))
         probe = make_rows("p", random_keys(rng, nprobe, span))
         expected = reference_simple(build, probe, swap=False)
-        got = join_fragment_rows(build, probe, 0, "simple", "left")
+        got = join_fragment_rows(build, probe, 0, 0, "simple", "left", combine)
         assert got == expected
 
     @pytest.mark.parametrize("seed", range(12))
@@ -93,7 +93,7 @@ class TestKernelProperties:
         right = make_rows("r", random_keys(rng, rng.randrange(0, 50), span))
         # build side right: build=right rows, probe=left rows, swapped combiner
         expected = reference_simple(right, left, swap=True)
-        got = join_fragment_rows(left, right, 0, "simple", "right")
+        got = join_fragment_rows(left, right, 0, 0, "simple", "right", combine)
         assert got == expected
 
     @pytest.mark.parametrize("seed", range(12))
@@ -103,19 +103,20 @@ class TestKernelProperties:
         left = make_rows("l", random_keys(rng, rng.randrange(0, 60), span))
         right = make_rows("r", random_keys(rng, rng.randrange(0, 60), span))
         expected = reference_pipelining(left, right)
-        got = join_fragment_rows(left, right, 0, "pipelining", "left")
+        got = join_fragment_rows(left, right, 0, 0, "pipelining", "left", combine)
         assert got == expected
 
     def test_empty_operands(self):
-        assert join_fragment_rows([], [], 0, "simple", "left") == []
-        assert join_fragment_rows([], make_rows("r", [1, 2]), 0,
-                                  "pipelining", "left") == []
-        assert join_fragment_rows(make_rows("l", [1]), [], 0,
-                                  "simple", "right") == []
+        assert join_fragment_rows([], [], 0, 0, "simple", "left", combine) == []
+        assert join_fragment_rows([], make_rows("r", [1, 2]), 0, 0,
+                                  "pipelining", "left", combine) == []
+        assert join_fragment_rows(make_rows("l", [1]), [], 0, 0,
+                                  "simple", "right", combine) == []
 
     def test_result_values_are_plain_python_ints(self):
         rows = join_fragment_rows(
-            make_rows("l", [5, 5]), make_rows("r", [5]), 0, "pipelining", "left"
+            make_rows("l", [5, 5]), make_rows("r", [5]), 0, 0,
+            "pipelining", "left", combine,
         )
         assert rows
         for row in rows:
@@ -130,6 +131,29 @@ class TestKernelProperties:
         assert pipelining_join_pairs(lk, rk)[0].size == brute
 
 
+def assert_rows_identical(schedule, relations):
+    """The columnar executor reproduces the row-at-a-time one, fragment
+    by fragment and row for row."""
+    pure = execute_schedule(schedule, relations, use_columnar=False)
+    fast = execute_schedule(schedule, relations, use_columnar=True)
+    for p_task, f_task in zip(pure.tasks, fast.tasks):
+        assert p_task.input_sizes == f_task.input_sizes
+        for p_frag, f_frag in zip(p_task.fragments, f_task.fragments):
+            assert f_frag.schema == p_frag.schema
+            assert list(p_frag.rows) == list(f_frag.rows)
+
+
+@pytest.fixture(scope="module")
+def snowflake():
+    """The snowflake example's database, tree and optimized schedule."""
+    import examples.snowflake_query as example
+    from repro.optimizer import catalog_for, two_phase_optimize
+
+    graph = example.foreign_key_graph()
+    plan = two_phase_optimize(graph, processors=24)
+    return example.build_database(), plan, catalog_for(graph)
+
+
 class TestExecutorEquivalence:
     """execute_schedule(use_columnar=True) == use_columnar=False, row for row."""
 
@@ -137,12 +161,24 @@ class TestExecutorEquivalence:
     def test_fragment_rows_identical(self, strategy, names6, relations6, catalog6):
         tree = make_shape("wide_bushy", names6)
         schedule = get_strategy(strategy).schedule(tree, catalog6, 7)
-        pure = execute_schedule(schedule, relations6, use_columnar=False)
-        fast = execute_schedule(schedule, relations6, use_columnar=True)
-        for p_task, f_task in zip(pure.tasks, fast.tasks):
-            assert p_task.input_sizes == f_task.input_sizes
-            for p_frag, f_frag in zip(p_task.fragments, f_task.fragments):
-                assert list(p_frag.rows) == list(f_frag.rows)
+        assert_rows_identical(schedule, relations6)
+
+    @pytest.mark.parametrize("strategy", ["SP", "SE", "RD", "FP"])
+    def test_star_schema_rows_identical(
+        self, strategy, star_database, star_tree, star_catalog
+    ):
+        schedule = get_strategy(strategy).schedule(star_tree, star_catalog, 5)
+        assert_rows_identical(schedule, star_database)
+
+    @pytest.mark.parametrize("strategy", [None, "SP", "SE", "RD", "FP"])
+    def test_snowflake_rows_identical(self, strategy, snowflake):
+        """The example's optimized plan (``None``) and every strategy
+        over its tree."""
+        database, plan, catalog = snowflake
+        schedule = plan.schedule if strategy is None else (
+            get_strategy(strategy).schedule(plan.tree, catalog, 8)
+        )
+        assert_rows_identical(schedule, database)
 
     @pytest.mark.parametrize("shape", SHAPE_NAMES)
     def test_columnar_matches_oracle(self, shape, names6, relations6, catalog6):

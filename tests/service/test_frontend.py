@@ -75,6 +75,11 @@ class TestWorkloadOp:
         assert not response["ok"]
         assert "verbosity" in response["error"]
 
+    def test_negative_memory_budget_refused(self):
+        response = SERVICE.handle(dict(self.REQUEST, memory_budget_bytes=-1.0))
+        assert not response["ok"]
+        assert "memory_budget_bytes" in response["error"]
+
 
 class TestDispatch:
     def test_unknown_op(self):
@@ -146,6 +151,26 @@ class TestServe:
         assert served == 2
         assert not responses[0]["ok"]
         assert responses[1]["ok"]
+
+    def test_extreme_skew_does_not_kill_the_stream(self):
+        """An overflowing theta used to end ``repro serve`` with a
+        traceback before the stats line was read."""
+        served, responses = self.pump(
+            '{"op": "query", "skew_theta": 1e308}', '{"stats": true}'
+        )
+        assert served == 2
+        assert not responses[0]["ok"]
+        assert "2**-500" in responses[0]["error"]
+        assert responses[1]["ok"] and responses[1]["op"] == "stats"
+
+    def test_arithmetic_error_is_an_error_dict(self, monkeypatch):
+        """``handle`` never raises, whatever arithmetic fails below it."""
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr("repro.api.run", overflow)
+        response = QueryService().handle({"op": "query"})
+        assert response == {"ok": False, "error": "math range error"}
 
     def test_responses_are_sorted_key_json(self):
         _, _ = self.pump(json.dumps({"op": "nope"}))

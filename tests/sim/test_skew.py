@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro import api
 from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig
 from repro.sim.run import simulate
-from repro.sim.skew import skew_factor, zipf_shares
+from repro.sim.skew import MIN_SHARE, skew_factor, zipf_shares
 
 NAMES = paper_relation_names(6)
 CATALOG = Catalog.regular(NAMES, 600)
@@ -81,3 +82,31 @@ class TestSkewedSimulation:
         assert skewed.response_time / uniform.response_time == pytest.approx(
             expected_ratio, rel=0.15
         )
+
+
+class TestUnrepresentableTheta:
+    """A theta whose shares no float can carry is refused up front; it
+    used to overflow in ``zipf_shares`` (SP) or divide by an underflowed
+    product of two shares (FP, the classic loop)."""
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            zipf_shares(4, theta)
+
+    def test_limit_is_the_smallest_share(self):
+        assert min(zipf_shares(40, 93.0)) >= MIN_SHARE
+        with pytest.raises(ValueError, match=r"2\*\*-500"):
+            zipf_shares(40, 100.0)
+        assert zipf_shares(1, 1e308) == [1.0]
+
+    @pytest.mark.parametrize("theta", [250.0, 1e308])
+    @pytest.mark.parametrize("strategy", ["SP", "FP"])
+    def test_run_rejects(self, strategy, theta):
+        with pytest.raises(ValueError, match=r"2\*\*-500"):
+            api.run("wide_bushy", strategy, 40, skew_theta=theta)
+
+    @pytest.mark.parametrize("theta", [250.0, 1e308])
+    def test_run_workload_rejects(self, theta):
+        with pytest.raises(ValueError, match=r"2\*\*-500"):
+            api.run_workload(skew_theta=theta)

@@ -224,10 +224,23 @@ class TestClosedLoop:
 
 
 class TestEngineValidation:
+    def test_negative_memory_budget_rejected(self):
+        """It used to pass silently: every query "exceeded" it, so each
+        one ran alone."""
+        from repro.api import run_workload
+
+        with pytest.raises(ValueError, match="memory_budget_bytes must be non-negative"):
+            run_workload(
+                memory_budget_bytes=-1.0, policy="guideline", machine_size=80,
+                rate=1.0, duration=30, seed=1,
+            )
+
     def test_gate_arguments(self, fast_config):
         with pytest.raises(ValueError):
             WorkloadEngine(8, config=fast_config, max_concurrent=0)
         with pytest.raises(ValueError):
             WorkloadEngine(8, config=fast_config, queue_limit=-1)
+        with pytest.raises(ValueError, match="memory_budget_bytes"):
+            WorkloadEngine(8, config=fast_config, memory_budget_bytes=-1.0)
         with pytest.raises(ValueError):
             WorkloadEngine(0, config=fast_config)
