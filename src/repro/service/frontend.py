@@ -23,11 +23,21 @@ from ..options import OPTIONS, QWC, WC, Option
 #: Backends a service request may ask for.
 SERVICE_BACKENDS = ("sim", "ideal")
 
+#: The most processors one ``query`` op may ask for (12.8x the paper's
+#: 80).  An FP plan opens producers x consumers streams, so a query's
+#: cost grows faster than quadratically in its machine size, and one
+#: line must not hold the stream for minutes or exhaust memory.
+#: :func:`repro.api.run` itself keeps no limit.
+MAX_QUERY_PROCESSORS = 1024
+
 #: Request keys that are the service's own rather than facade knobs.
 _SERVICE_OPTIONS = (
     Option("shape", SHAPE_NAMES, "wide_bushy", "query tree shape", ops=QWC),
     Option("rows", bool, False, "also return the per-query rows", ops=WC),
-    Option("processors", int, 40, "machine size", ops=("query",)),
+    Option(
+        "processors", int, 40,
+        f"machine size, at most {MAX_QUERY_PROCESSORS}", ops=("query",),
+    ),
     Option("backend", SERVICE_BACKENDS, "sim", "simulating backend", ops=("query",)),
 )
 
@@ -110,6 +120,12 @@ class QueryService:
         if backend not in SERVICE_BACKENDS:
             return self._error(
                 f"service backends are {SERVICE_BACKENDS}; got {backend!r}"
+            )
+        processors = request.get("processors", 40)
+        if processors > MAX_QUERY_PROCESSORS:
+            return self._error(
+                f"processors={processors} exceeds the service limit of "
+                f"{MAX_QUERY_PROCESSORS} per query"
             )
         options = {
             key: value for key, value in request.items()

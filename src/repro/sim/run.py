@@ -28,13 +28,15 @@ from typing import (
     FrozenSet,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Tuple,
 )
 
-from ..core.cost import Catalog, CostModel, JoinCost
+from ..core.cost import Catalog, CostModel
 from ..core.numeric import ordered_sum
 from ..core.schedule import JoinTask, ParallelSchedule
+from . import turbo
 from .events import SimulationClock
 from .machine import MachineConfig, NetworkLink, Processor
 from .metrics import SimulationResult, TaskTiming
@@ -63,12 +65,96 @@ class QueryAbortedError(RuntimeError):
         self.at = at
 
 
+#: One input side of a task: ``(mode, coefficient, producer processes,
+#: operand total)`` — a base fragment has no producers.
+Side = Tuple[str, float, int, float]
+
+
+class TaskDerivation(NamedTuple):
+    """Everything one join task's processes and ports are built from.
+
+    :func:`derive_tasks` makes it from the schedule, the cost
+    annotation and the skew; :meth:`ScheduleSimulation._build` builds
+    from nothing else.  A whole query's derivations, with the machine
+    constants and the cost coefficients, are also the key of turbo's
+    profile cache (:func:`simulate`): what is not here cannot reach a
+    built process, so equal keys build equal processes.
+    """
+
+    index: int
+    processors: Tuple[int, ...]
+    start_after: Tuple[int, ...]
+    #: ``(task index, side)`` the output feeds; ``None`` for the root.
+    consumer: Optional[Tuple[int, str]]
+    algorithm: str
+    build_side: str
+    #: Fragment share per process (uniform or Zipf), in process order.
+    shares: Tuple[float, ...]
+    left: Side
+    right: Side
+    work_scale: float
+    result_total: float
+    result_coeff: float
+
+
+def derive_tasks(
+    schedule: ParallelSchedule,
+    catalog: Catalog,
+    cost_model: CostModel,
+    skew_theta: float,
+) -> Tuple[TaskDerivation, ...]:
+    """Each task's :class:`TaskDerivation`, in schedule order: the tree
+    is cost-annotated once, fragment shares are uniform under the
+    paper's assumption and Zipfian under skew."""
+    annotation = cost_model.annotate(schedule.tree, catalog)
+    tasks = schedule.tasks
+    consumer_of: Dict[int, Tuple[int, str]] = {}
+    for task in tasks:
+        if not task.left_input.is_base:
+            consumer_of[task.left_input.source] = (task.index, "left")
+        if not task.right_input.is_base:
+            consumer_of[task.right_input.source] = (task.index, "right")
+    base_coeff = cost_model.base_coeff
+    intermediate_coeff = cost_model.intermediate_coeff
+    result_coeff = cost_model.result_coeff
+
+    def side(spec, total: float) -> Side:
+        if spec.is_base:
+            return (spec.mode, base_coeff, 0, total)
+        producers = tasks[spec.source].parallelism
+        return (spec.mode, intermediate_coeff, producers, total)
+
+    derived = []
+    for task in tasks:
+        cost = annotation[task.join]
+        natural = cost_model.join_cost(
+            cost.n1, cost.n2, cost.result, cost.left_base, cost.right_base
+        )
+        derived.append(
+            TaskDerivation(
+                task.index,
+                tuple(task.processors),
+                tuple(task.start_after),
+                consumer_of.get(task.index),
+                task.algorithm,
+                task.build_side,
+                tuple(zipf_shares(task.parallelism, skew_theta)),
+                side(task.left_input, cost.n1),
+                side(task.right_input, cost.n2),
+                cost.cost / natural if natural > 0 else 1.0,
+                cost.result,
+                result_coeff,
+            )
+        )
+    return tuple(derived)
+
+
 @dataclass
 class _TaskRuntime:
     """Mutable bookkeeping for one join task during the run."""
 
     task: JoinTask
-    cost: JoinCost
+    derived: TaskDerivation
     processes: List[OperationProcess] = field(default_factory=list)
     remaining_deps: int = 0
     dependents: List["_TaskRuntime"] = field(default_factory=list)
@@ -77,8 +163,6 @@ class _TaskRuntime:
     completion: Optional[float] = None
     output_group: Optional[ConsumerGroup] = None
     output_pipelined: bool = False
-    #: Fragment share per process (uniform or Zipf), in process order.
-    shares: List[float] = field(default_factory=list)
 
 
 class ScheduleSimulation:
@@ -100,6 +184,7 @@ class ScheduleSimulation:
         network: Optional[NetworkLink] = None,
         skip_tasks: Collection[int] = (),
         deadline: Optional[float] = None,
+        derived: Optional[Tuple[TaskDerivation, ...]] = None,
     ):
         """``skew_theta`` relaxes the paper's non-skew assumption: the
         fragments of every operand follow Zipf(theta) shares instead of
@@ -130,6 +215,10 @@ class ScheduleSimulation:
         deadline event is cancellable, so a deadline the query beats —
         and ``deadline=None`` — leave the run bit-for-bit identical to
         a deadline-free one.
+
+        ``derived`` is :func:`derive_tasks` of these same arguments, for
+        a caller that has already made it (:func:`simulate` keys turbo's
+        profile cache on it); ``None`` derives it here.
         """
         self.schedule = schedule
         self.catalog = catalog
@@ -156,6 +245,8 @@ class ScheduleSimulation:
         #: (crash, stall, link fault) targets this run; keeps the
         #: analytic fast path (repro.sim.turbo) off perturbed runs.
         self.perturbed = False
+        #: Set by :meth:`run`: whether turbo computed the whole run.
+        self.analytic = False
         if deadline is not None and deadline <= start_at:
             raise ValueError(
                 f"deadline {deadline} must lie after the query's start "
@@ -177,10 +268,11 @@ class ScheduleSimulation:
             else NetworkLink(self.config.network_bandwidth)
         )
         self.skip_tasks: FrozenSet[int] = self._close_skips(skip_tasks)
-        annotation = cost_model.annotate(schedule.tree, catalog)
+        if derived is None:
+            derived = derive_tasks(schedule, catalog, cost_model, skew_theta)
         self.runtimes: List[_TaskRuntime] = [
-            _TaskRuntime(task=task, cost=annotation[task.join])
-            for task in schedule.tasks
+            _TaskRuntime(task=task, derived=spec)
+            for task, spec in zip(schedule.tasks, derived)
         ]
         self._build()
 
@@ -223,73 +315,25 @@ class ScheduleSimulation:
         return self.processors[ident]
 
     def _build(self) -> None:
-        # Who consumes each task's output, and through which side.
-        consumer_of: Dict[int, Tuple[_TaskRuntime, str]] = {}
-        for runtime in self.runtimes:
-            for side, spec in (
-                ("left", runtime.task.left_input),
-                ("right", runtime.task.right_input),
-            ):
-                if not spec.is_base:
-                    consumer_of[spec.source] = (runtime, side)
-
-        # Create processes with their input ports.  Fragment shares
-        # are uniform under the paper's assumption, Zipfian under skew.
-        # Everything constant across a task's processes (coefficients,
-        # work scale, name, completion hook) is computed once per task.
+        # Create processes with their input ports, all from the tasks'
+        # derivations.
+        by_index = {rt.task.index: rt for rt in self.runtimes}
         ports_by_task_side: Dict[Tuple[int, str], List[Port]] = {}
-        shares_of: Dict[int, List[float]] = {}
-        base_coeff = self.cost_model.base_coeff
-        intermediate_coeff = self.cost_model.intermediate_coeff
-        result_coeff = self.cost_model.result_coeff
         for runtime in self.runtimes:
             task = runtime.task
-            shares = zipf_shares(task.parallelism, self.skew_theta)
-            shares_of[task.index] = shares
-            runtime.shares = shares
             if task.index in self.skip_tasks:
                 continue  # replayed from a surviving materialized result
-            cost = runtime.cost
-            side_params = []
-            for side, spec, total in (
-                ("left", task.left_input, cost.n1),
-                ("right", task.right_input, cost.n2),
-            ):
-                if spec.is_base:
-                    side_params.append((side, spec.mode, base_coeff, 0, total))
-                else:
-                    side_params.append(
-                        (
-                            side,
-                            spec.mode,
-                            intermediate_coeff,
-                            self.schedule.tasks[spec.source].parallelism,
-                            total,
-                        )
-                    )
-            natural = self.cost_model.join_cost(
-                cost.n1, cost.n2, cost.result, cost.left_base, cost.right_base
-            )
-            work_scale = cost.cost / natural if natural > 0 else 1.0
+            derived = runtime.derived
+            l_mode, l_coeff, l_producers, l_total = derived.left
+            r_mode, r_coeff, r_producers, r_total = derived.right
             name = f"{self.label_prefix}J{task.index}"
             on_done = lambda process, rt=runtime: self._process_done(rt, process)
-            simple = task.algorithm == "simple"
-            result_total = cost.result
-            left_ports = ports_by_task_side.setdefault((task.index, "left"), [])
-            right_ports = ports_by_task_side.setdefault((task.index, "right"), [])
-            for proc_id, share in zip(task.processors, shares):
-                sides = []
-                for side, mode, coeff, producers, total in side_params:
-                    sides.append(
-                        Port(
-                            side=side,
-                            mode=mode,
-                            coefficient=coeff,
-                            expected_producers=producers,
-                            local_total=total * share,
-                        )
-                    )
-                left, right = sides
+            simple = derived.algorithm == "simple"
+            left_ports = ports_by_task_side[(task.index, "left")] = []
+            right_ports = ports_by_task_side[(task.index, "right")] = []
+            for proc_id, share in zip(derived.processors, derived.shares):
+                left = Port("left", l_mode, l_coeff, l_producers, l_total * share)
+                right = Port("right", r_mode, r_coeff, r_producers, r_total * share)
                 left_ports.append(left)
                 right_ports.append(right)
                 kwargs = dict(
@@ -299,17 +343,17 @@ class ScheduleSimulation:
                     config=self.config,
                     left=left,
                     right=right,
-                    result_local=result_total * share,
-                    result_coeff=result_coeff,
+                    result_local=derived.result_total * share,
+                    result_coeff=derived.result_coeff,
                     output=None,             # wired afterwards
                     output_pipelined=False,  # wired afterwards
                     on_done=on_done,
-                    work_scale=work_scale,
+                    work_scale=derived.work_scale,
                     spans=self._spans.get(proc_id),
                 )
                 if simple:
                     process = SimpleHashJoinProcess(
-                        build_side=task.build_side, **kwargs
+                        build_side=derived.build_side, **kwargs
                     )
                 else:
                     process = PipeliningHashJoinProcess(**kwargs)
@@ -317,40 +361,35 @@ class ScheduleSimulation:
 
         # Wire outputs: a task's processes share one consumer group.
         for runtime in self.runtimes:
-            target = consumer_of.get(runtime.task.index)
+            target = runtime.derived.consumer
             if target is None:
                 continue  # root: result stays in local memories
-            consumer_runtime, side = target
-            if consumer_runtime.task.index in self.skip_tasks:
+            consumer_index, side = target
+            if consumer_index in self.skip_tasks:
                 # Closure guarantees the producer is skipped too: its
                 # output is already folded into the consumer's result.
                 continue
-            spec = (
-                consumer_runtime.task.left_input
-                if side == "left"
-                else consumer_runtime.task.right_input
-            )
-            if runtime.task.index in self.skip_tasks and spec.mode == "pipelined":
+            consumer = by_index[consumer_index].derived
+            mode = (consumer.left if side == "left" else consumer.right)[0]
+            if runtime.task.index in self.skip_tasks and mode == "pipelined":
                 raise ValueError(
                     f"task {runtime.task.index} cannot be reused: its output "
                     "is pipelined into a live consumer, and pipelined "
                     "dataflow state died with the crashed processes"
                 )
-            ports = ports_by_task_side[(consumer_runtime.task.index, side)]
             group = ConsumerGroup(
-                ports,
+                ports_by_task_side[(consumer_index, side)],
                 self.config.network_latency,
-                shares=shares_of[consumer_runtime.task.index],
+                shares=consumer.shares,
                 network=self.network,
             )
             runtime.output_group = group
-            runtime.output_pipelined = spec.mode == "pipelined"
+            runtime.output_pipelined = mode == "pipelined"
             for process in runtime.processes:
                 process.output = group
                 process.output_pipelined = runtime.output_pipelined
 
         # Barriers.
-        by_index = {rt.task.index: rt for rt in self.runtimes}
         for runtime in self.runtimes:
             runtime.remaining_deps = len(runtime.task.start_after)
             for dep in runtime.task.start_after:
@@ -443,7 +482,7 @@ class ScheduleSimulation:
             return
         runtime.released_at = self.clock.now
         self._task_complete(
-            runtime, runtime.cost.result, runtime.task.parallelism
+            runtime, runtime.derived.result_total, runtime.task.parallelism
         )
 
     def _task_complete(
@@ -497,9 +536,8 @@ class ScheduleSimulation:
                 "hosted simulations share an external clock; drive that "
                 "clock and collect the result from on_complete/result()"
             )
-        from . import turbo
-
-        if not turbo.execute(self):
+        self.analytic = turbo.execute(self)
+        if not self.analytic:
             self.clock.run()
         if self.aborted_reason is not None:
             raise QueryAbortedError(self.aborted_reason, self.aborted_at or 0.0)
@@ -590,9 +628,27 @@ def simulate(
     still unfinished then raises :class:`QueryAbortedError` with
     ``reason="deadline"``.  A deadline the query beats is a strict
     no-op.
+
+    A run with neither is first looked up in turbo's profile cache
+    (:func:`repro.sim.turbo.replay`), keyed on the tasks' derivations,
+    the machine constants and the cost coefficients — everything the
+    build and turbo's eligibility read.  A hit builds nothing; a run
+    turbo computed is remembered.
     """
+    if config is None:
+        config = MachineConfig.paper()
+    if cost_model is None:
+        cost_model = CostModel()
+    derived = derive_tasks(schedule, catalog, cost_model, skew_theta)
+    key = None
+    if faults is None and deadline is None:
+        key = (config, cost_model.base_coeff, cost_model.intermediate_coeff, derived)
+        result = turbo.replay(key, schedule, config)
+        if result is not None:
+            return result
     sim = ScheduleSimulation(
-        schedule, catalog, config, cost_model, skew_theta, deadline=deadline
+        schedule, catalog, config, cost_model, skew_theta,
+        deadline=deadline, derived=derived,
     )
     if faults is not None:
         from ..faults import FaultInjector
@@ -601,4 +657,7 @@ def simulate(
             faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
         )
         injector.attach_simulation(sim)
-    return sim.run()
+    result = sim.run()
+    if key is not None and sim.analytic:
+        turbo.remember(key, result)
+    return result

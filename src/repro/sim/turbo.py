@@ -109,20 +109,25 @@ not with the replicas the paper's uniform fragmentation makes of them.
 
 Turbo v2 adds three layers on top of the v1 interpreter:
 
-* **Drain-structure (profile) cache** — the analytic run is a pure
-  function of a finite input signature: the schedule's task graph and
-  processor assignments, the realized fragment shares, every
-  per-process coefficient/total/cap the chunk loops read, the machine
-  constants, ``start_at`` and the trace-label prefix.  :func:`execute`
-  keys a bounded cache on that exact signature; a hit replays the
-  recorded final state (busy intervals, port/process/task finals,
-  logical event count, bytes transferred) instead of re-interpreting
-  the chunk interleaving.  Equal key ⇒ equal floats by construction,
-  so replay is bit-identical — this is what closes the FP gap, whose
-  trickle interleaving dominates interpreter time.  The cache lives in
-  this process only, so a changed chunk policy (a code change) always
-  starts from an empty one; code that alters the process model at
-  runtime calls :func:`clear_cache`.
+* **Profile cache** — the analytic run is a pure function of each
+  task's derivation (:class:`~repro.sim.run.TaskDerivation`: wiring,
+  realized shares, per-side constants, work scale, result), the
+  machine constants and the cost coefficients.
+  :func:`repro.sim.run.simulate`, the one owned entry point, keys a
+  bounded cache on them *before* building anything: a hit
+  (:func:`replay`) returns the finished result without building a
+  process, a port or a clock.  An entry holds only what the result
+  shows — response time, per-task times, per-processor spans, event
+  and result counts, and the busy totals walked once when
+  :func:`remember` stores a run turbo computed; strategy, labels and
+  stream count come from the caller's schedule.  Equal key ⇒ equal
+  build ⇒ equal floats, so a hit is bit-identical — this is what
+  closes the FP gap, whose trickle interleaving dominates interpreter
+  time.  Everything eligibility reads is in the key, so a stored key
+  implies eligibility; :func:`execute` always computes.  The cache
+  lives in this process only, so a changed chunk policy (a code
+  change) always starts from an empty one; code that alters the
+  process model at runtime calls :func:`clear_cache`.
 * **Cross-query structure memo** — the topological order and the
   disjointness/graph validation of :func:`_topo_order` depend only on
   the schedule's structure, not on costs or times; workloads rerunning
@@ -156,18 +161,22 @@ from operator import eq, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.numeric import ordered_sum
+from .metrics import SimulationResult, TaskTiming
 from .streams import EPSILON
 
 __all__ = [
     "execute",
     "execute_hosted",
+    "replay",
+    "remember",
     "clear_cache",
     "cache_stats",
 ]
 
 _INF = float("inf")
 
-#: Bounded profile cache: full input signature -> recorded final state.
+#: Bounded profile cache: an owned run's key (:func:`repro.sim.run.simulate`)
+#: -> what :func:`replay` makes its result from.
 _PROFILE_CACHE: Dict[tuple, tuple] = {}
 _PROFILE_CACHE_MAX = 128
 
@@ -296,23 +305,13 @@ def _topo_order(sim) -> Optional[List[int]]:
 
 def _structure_key(sim) -> tuple:
     """The pure schedule-shape signature :func:`_topo_order` depends
-    on: task graph, processor assignments, input wiring, and process
-    counts — no costs, no times.  Identical across every rerun of one
-    spec, which is what makes the memo a cross-query win."""
-    parts = []
-    for rt in sim.runtimes:
-        task = rt.task
-        parts.append(
-            (
-                task.index,
-                tuple(task.processors),
-                tuple(task.start_after),
-                (task.left_input.is_base, task.left_input.source),
-                (task.right_input.is_base, task.right_input.source),
-                len(rt.processes),
-            )
-        )
-    return tuple(parts)
+    on: each task's processors, barriers and consumer wiring — no
+    costs, no times.  Identical across every rerun of one spec, which
+    is what makes the memo a cross-query win."""
+    return tuple(
+        (d.index, d.processors, d.start_after, d.consumer)
+        for d in (rt.derived for rt in sim.runtimes)
+    )
 
 
 def _topo_memo(sim) -> Optional[List[int]]:
@@ -451,8 +450,8 @@ class _Lead:
 
 def _finish(proc, done_time: float, out_total: float) -> None:
     """Leave ``proc`` in the lifecycle state the classic loop leaves a
-    finished process in — whichever analytic path finished it (run,
-    inherited from a leader, or replayed from a profile)."""
+    finished process in — whichever analytic path finished it (run, or
+    inherited from a leader)."""
     proc.ready = True
     proc.released = True
     proc.started = True
@@ -1054,7 +1053,7 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                         break
         first_pos = (fp0, fp1)
 
-        shares = rt.shares
+        shares = rt.derived.shares
         out_side = consumer_side[ti]
         pipe_flag = rt.output_group is not None and rt.output_pipelined
         task_emissions: List[tuple] = []
@@ -1147,135 +1146,14 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
     return finished_at, nevents, transferred
 
 
-# -- the drain-structure (profile) cache --------------------------------
-
-
-def _signature(sim) -> tuple:
-    """The complete input signature of the analytic run — everything
-    :func:`_compute` reads.  Two simulations with equal signatures
-    perform identical float operations in identical order, so the
-    recorded final state of one is bit-for-bit the final state of the
-    other.  Costs enter through the *realized* per-process values
-    (coefficients, totals, caps, shares, work scales), so catalog,
-    cost-model and skew changes all change the key."""
-    config = sim.config
-    parts: List[object] = [
-        sim.start_at,
-        sim.label_prefix,
-        config.tuple_unit,
-        config.process_startup,
-        config.handshake,
-        config.network_latency,
-        config.batches,
-    ]
-    for rt in sim.runtimes:
-        task = rt.task
-        pparts = []
-        for p in rt.processes:
-            left = p.left
-            right = p.right
-            pparts.append(
-                (
-                    p.algorithm,
-                    1 if (p.algorithm == "simple" and p.build is right) else 0,
-                    p.work_scale,
-                    p.result_coeff,
-                    p.result_local,
-                    p.processor.ident,
-                    p.output_pipelined,
-                    len(p.output.ports) if p.output is not None else -1,
-                    (left.mode, left.coefficient, left.expected_producers,
-                     left.local_total),
-                    (right.mode, right.coefficient, right.expected_producers,
-                     right.local_total),
-                )
-            )
-        parts.append(
-            (
-                task.index,
-                tuple(task.processors),
-                tuple(task.start_after),
-                (task.left_input.is_base, task.left_input.source),
-                (task.right_input.is_base, task.right_input.source),
-                tuple(rt.shares),
-                tuple(pparts),
-            )
-        )
-    return tuple(parts)
-
-
-def _capture(sim, finished_at: float, nevents: int, transferred: float) -> tuple:
-    """Record the final observable state of a just-computed owned run
-    as an immutable profile (fresh processors: the whole trace is this
-    run's own)."""
-    procs = tuple(
-        (ident, proc.busy_until, tuple(proc.intervals))
-        for ident, proc in sim.processors.items()
-    )
-    tasks = []
-    for rt in sim.runtimes:
-        pstates = tuple(
-            (
-                p.start_time,
-                p.done_time,
-                p.out_total,
-                (p.left.pending, p.left.processed,
-                 p.left.eos_received, p.left.first_arrival),
-                (p.right.pending, p.right.processed,
-                 p.right.eos_received, p.right.first_arrival),
-            )
-            for p in rt.processes
-        )
-        tasks.append((rt.released_at, rt.completion, pstates))
-    return (finished_at, nevents, transferred, procs, tuple(tasks))
-
-
-def _replay(sim, profile: tuple) -> None:
-    """Write a recorded profile onto a freshly built owned simulation —
-    the same final state :func:`_compute` would produce, without
-    re-interpreting the drain."""
-    finished_at, nevents, transferred, procs, tasks = profile
-    processors = sim.processors
-    for ident, busy, spans in procs:
-        processor = processors[ident]
-        processor.intervals.extend(spans)
-        processor.busy_until = busy
-    for rt, (released_at, completion, pstates) in zip(sim.runtimes, tasks):
-        rt.released_at = released_at
-        rt.completion = completion
-        rt.done_processes = len(rt.processes)
-        rt.remaining_deps = 0
-        for proc, state in zip(rt.processes, pstates):
-            _finish(proc, state[1], state[2])
-            proc.start_time = state[0]
-            (proc.left.pending, proc.left.processed,
-             proc.left.eos_received, proc.left.first_arrival) = state[3]
-            (proc.right.pending, proc.right.processed,
-             proc.right.eos_received, proc.right.first_arrival) = state[4]
-    sim.network.transferred += transferred
-    sim._completed_tasks = len(sim.runtimes)
-    sim.finished_at = finished_at
-    clock = sim.clock
-    clock.now = finished_at
-    clock.events_dispatched += nevents
-    clock._queue.clear()
-
-
 def execute(sim) -> bool:
     """Analytically simulate an *owned* ``sim`` if eligible.  Returns
     ``True`` on success (the simulation is complete, results identical
     to the event loop's); ``False`` declines without touching any
-    state.  Repeat signatures replay the cached drain structure."""
+    state."""
     order = _eligible(sim)
     if order is None:
         return False
-    key = _signature(sim)
-    profile = _PROFILE_CACHE.get(key)
-    if profile is not None:
-        _STATS["profile_hits"] += 1
-        _replay(sim, profile)
-        return True
-    _STATS["profile_misses"] += 1
     try:
         finished_at, nevents, transferred = _compute(sim, order)
     except _SameInstantTie:
@@ -1292,10 +1170,63 @@ def execute(sim) -> bool:
     # The build-time init/release events were simulated analytically,
     # never popped; drop them so pending() reflects reality.
     clock._queue.clear()
+    return True
+
+
+# -- the profile cache ----------------------------------------------------
+
+
+def replay(key: tuple, schedule, config) -> Optional[SimulationResult]:
+    """The result of an owned run of ``schedule`` whose key
+    :func:`remember` was given, or ``None`` — counted as a hit or a
+    miss.  The key says how the run went; the schedule and the config
+    say what the caller asked for (strategy, labels, stream count), so
+    the result is as the caller's own run would report it.  The lists
+    handed out are fresh: a caller may mutate them."""
+    entry = _PROFILE_CACHE.get(key)
+    if entry is None:
+        _STATS["profile_misses"] += 1
+        return None
+    _STATS["profile_hits"] += 1
+    response_time, timings, spans, events, result_tuples, busy = entry
+    result = SimulationResult(
+        strategy=schedule.strategy,
+        processors=schedule.processors,
+        response_time=response_time,
+        config=config,
+        task_timings=[
+            TaskTiming(task.index, task.join.label or str(task.index), *timing)
+            for task, timing in zip(schedule.tasks, timings)
+        ],
+        intervals={ident: list(own) for ident, own in spans},
+        operation_processes=sum(task.parallelism for task in schedule.tasks),
+        stream_count=schedule.stream_count(),
+        events=events,
+        result_tuples=result_tuples,
+    )
+    result._busy = busy  # the cached property, as the first walk left it
+    return result
+
+
+def remember(key: tuple, result: SimulationResult) -> None:
+    """Keep what :func:`replay` needs of a result turbo computed: the
+    response time, per task its released / first-work / completion
+    times, per processor its spans, the event and result-tuple counts,
+    and the busy totals, walked once here.  FIFO eviction at
+    :data:`_PROFILE_CACHE_MAX` entries."""
     if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
         _PROFILE_CACHE.pop(next(iter(_PROFILE_CACHE)))
-    _PROFILE_CACHE[key] = _capture(sim, finished_at, nevents, transferred)
-    return True
+    _PROFILE_CACHE[key] = (
+        result.response_time,
+        tuple(
+            (timing.released, timing.first_work, timing.completion)
+            for timing in result.task_timings
+        ),
+        tuple((ident, tuple(own)) for ident, own in result.intervals.items()),
+        result.events,
+        result.result_tuples,
+        result._busy,
+    )
 
 
 # -- hosted epochs ------------------------------------------------------

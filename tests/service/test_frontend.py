@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import run
 from repro.service import QueryService, serve
+from repro.service.frontend import MAX_QUERY_PROCESSORS
 
 SERVICE = QueryService()
 
@@ -162,6 +163,30 @@ class TestServe:
         assert not responses[0]["ok"]
         assert "2**-500" in responses[0]["error"]
         assert responses[1]["ok"] and responses[1]["op"] == "stats"
+
+    @pytest.mark.timeout(30)
+    def test_oversized_machine_does_not_hold_the_stream(self):
+        """FP on 4000 processors took 36 s and 1.2 GB inside one line;
+        a million is refused at once, naming the limit, and the stats
+        line after it is answered."""
+        import time
+
+        started = time.perf_counter()
+        served, responses = self.pump(
+            '{"op": "query", "processors": 1000000}', '{"stats": true}'
+        )
+        assert time.perf_counter() - started < 1.0
+        assert served == 2
+        assert not responses[0]["ok"]
+        assert str(MAX_QUERY_PROCESSORS) in responses[0]["error"]
+        assert responses[1]["ok"] and responses[1]["op"] == "stats"
+
+    def test_the_limit_itself_is_served(self):
+        response = QueryService().handle({
+            "op": "query", "strategy": "SP", "cardinality": 100,
+            "processors": MAX_QUERY_PROCESSORS, "shape": "left_linear",
+        })
+        assert response["ok"] and response["processors"] == MAX_QUERY_PROCESSORS
 
     def test_arithmetic_error_is_an_error_dict(self, monkeypatch):
         """``handle`` never raises, whatever arithmetic fails below it."""

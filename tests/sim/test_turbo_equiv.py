@@ -10,9 +10,10 @@ be *exactly* equal — ``==`` on floats, not ``approx``.
 
 The grid covers every shape × strategy × a mixed processor/skew axis,
 plus extra FP-heavy points (deep pipelines, wide sibling fan-out) where
-the turbo-v2 drain-structure work concentrates.  Caches are cleared per
-point so this file always exercises the cold compute path;
-``test_turbo_cache.py`` owns the warm-replay guarantees.
+the turbo-v2 drain-structure work concentrates.  :func:`turbo.execute`
+always computes, so this file exercises the cold path;
+``test_turbo_cache.py`` owns the warm-replay guarantees, which live in
+:func:`repro.sim.run.simulate`.
 
 The paper-scale points at the end run the paper's own query (ten
 relations, 5K and 40K tuples, 50 and 80 processors), where most of an
@@ -33,7 +34,7 @@ from repro.bench.workloads import (
 )
 from repro.core import Catalog, CostModel, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig
-from repro.sim.run import ScheduleSimulation
+from repro.sim.run import ScheduleSimulation, simulate
 from repro.sim import turbo
 
 SHAPES = ("wide_bushy", "left_linear", "right_bushy", "right_linear", "left_bushy")
@@ -217,11 +218,12 @@ class TestFPHeavyShapes:
 
     def test_deep_pipeline_warm_replay_matches_classic(self):
         """A *warm* FP replay (profile-cache hit) must still equal the
-        classic loop — the cached profile is the computed one."""
+        classic loop — the cached result is the computed one."""
         turbo.clear_cache()
         reference = classic("right_linear", "FP", 40, 0.0, relations=10)
-        fast("right_linear", "FP", 40, 0.0, relations=10)  # prime
-        warm = fast("right_linear", "FP", 40, 0.0, relations=10)
+        sim = build("right_linear", "FP", 40, 0.0, relations=10)
+        simulate(sim.schedule, sim.catalog, sim.config)  # prime
+        warm = simulate(sim.schedule, sim.catalog, sim.config)
         assert turbo.cache_stats()["profile_hits"] == 1
         assert_identical(reference, warm)
 

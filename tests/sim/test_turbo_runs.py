@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig, turbo
-from repro.sim.run import ScheduleSimulation
+from repro.sim.run import ScheduleSimulation, simulate
 
 TRICKLE = MachineConfig(
     tuple_unit=0.001, process_startup=0.008, handshake=0.016,
@@ -199,12 +199,12 @@ def test_counters_report_entries_held_as_runs():
     """``timeline_entries`` counts arrivals, ``timeline_runs`` the runs
     holding them; a replay builds no timeline, and ``clear_cache``
     resets both."""
-    case = dict(shape="left_linear", strategy="FP", processors=40, cardinality=1000)
-    analytic(case)
+    sim = build(shape="left_linear", strategy="FP", processors=40, cardinality=1000)
+    turbo.clear_cache()
+    simulate(sim.schedule, sim.catalog, sim.config)
     cold = turbo.cache_stats()
     assert 0 < cold["timeline_runs"] < cold["timeline_entries"]
-    sim = build(**case)
-    assert turbo.execute(sim)
+    simulate(sim.schedule, sim.catalog, sim.config)
     warm = turbo.cache_stats()
     assert warm["profile_hits"] == 1
     assert (warm["timeline_runs"], warm["timeline_entries"]) == (

@@ -28,7 +28,7 @@ import pytest
 
 from repro.core import Catalog, get_strategy, make_shape, paper_relation_names
 from repro.sim import MachineConfig, turbo
-from repro.sim.run import ScheduleSimulation
+from repro.sim.run import ScheduleSimulation, simulate
 
 SHAPES = ("wide_bushy", "left_linear", "right_bushy", "right_linear", "left_bushy")
 
@@ -138,11 +138,12 @@ def test_counters_report_attempts_beside_splices():
     those that inherited a tail; a replay interprets nothing and adds
     to neither, and ``clear_cache`` resets both."""
     turbo.clear_cache()
-    assert turbo.execute(build("left_linear", "FP", 20, 1000))
+    sim = build("left_linear", "FP", 20, 1000)
+    simulate(sim.schedule, sim.catalog, sim.config)
     cold = turbo.cache_stats()
     assert cold["sibling_runs"] == 20 - 9  # one leader per join
     assert 0 < cold["sibling_splices"] <= cold["sibling_runs"]
-    assert turbo.execute(build("left_linear", "FP", 20, 1000))
+    simulate(sim.schedule, sim.catalog, sim.config)
     warm = turbo.cache_stats()
     assert warm["profile_hits"] == 1
     assert (warm["sibling_runs"], warm["sibling_splices"]) == (

@@ -85,6 +85,10 @@ class TestPerf:
             for name in ("runs", "splices")
         )
         assert 0 < splices <= runs  # attempts printed beside useful outcomes
+        # Hit cost gets a line of its own: the solo rerun, all hits.
+        assert re.search(
+            r"\nperf warm cache: [\d.]+ms wall .* 4 hits\)\n$", out
+        )
         _out, closed, fast, hosted, _rollbacks, _ties = bench("--no-fast-path")
         assert closed == fast == hosted == 0
 
