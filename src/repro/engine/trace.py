@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List
 
+from ..sim.machine import HANDSHAKE_SUFFIX
 from ..sim.metrics import SimulationResult
 
 
@@ -47,8 +48,8 @@ def spans_of(result: SimulationResult) -> List[Span]:
     out: List[Span] = []
     for processor, intervals in result.intervals.items():
         for start, end, label in intervals:
-            kind = "handshake" if label.endswith(":hs") else "work"
-            task = label[:-3] if kind == "handshake" else label
+            kind = "handshake" if label.endswith(HANDSHAKE_SUFFIX) else "work"
+            task = label.removesuffix(HANDSHAKE_SUFFIX)
             out.append(Span(processor, start, end, task, kind))
     out.sort(key=lambda span: (span.start, span.processor))
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.numeric import ordered_sum
+from ..sim.machine import HANDSHAKE_SUFFIX
 from ..sim.metrics import SimulationResult
 
 #: Character shown for an idle processor slot.
@@ -19,7 +20,7 @@ IDLE = "."
 
 def _cell_label(label: str, label_map: Dict[str, str]) -> str:
     """Single display character for an interval label."""
-    base = label[:-3] if label.endswith(":hs") else label
+    base = label.removesuffix(HANDSHAKE_SUFFIX)
     return label_map.get(base, base[-1])
 
 

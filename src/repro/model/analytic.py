@@ -160,41 +160,6 @@ def predict(
     return predict_schedule(schedule, catalog, config, cost_model)
 
 
-#: How optimistic :func:`forecast_epoch_end` is about the model's
-#: over-prediction.  The forecast is a *pre-gate*, not a correctness
-#: check: the hosted fast path always verifies the exact simulated
-#: completion against the event barrier and rolls back on a miss, so
-#: an optimistic factor only trades wasted analytic attempts against
-#: missed fast-path opportunities.
-EPOCH_OPTIMISM = 0.5
-
-
-def forecast_epoch_end(
-    schedule: ParallelSchedule,
-    catalog: Catalog,
-    start_at: float,
-    config: Optional[MachineConfig] = None,
-    cost_model: CostModel = CostModel(),
-    *,
-    optimism: float = EPOCH_OPTIMISM,
-) -> float:
-    """Cheap absolute-time completion forecast for a hosted epoch.
-
-    The workload engine uses this to decide whether a starting query
-    is even *worth* attempting on the turbo fast path: if the
-    forecast — deliberately scaled down by ``optimism`` so an
-    over-predicting model cannot starve the fast path — already lands
-    past the next clock event that can act on the query, the
-    analytic run would be computed only to be rolled back, and the
-    engine skips straight to the classic event loop.  The model is
-    first-order, so callers must never treat this as the authoritative
-    completion time; only :func:`repro.sim.turbo.execute_hosted`'s
-    exact replay decides admission into the fast path.
-    """
-    prediction = predict_schedule(schedule, catalog, config, cost_model)
-    return start_at + optimism * prediction.response_time
-
-
 def _consumer_of(schedule: ParallelSchedule, index: int) -> Optional[JoinTask]:
     for task in schedule.tasks:
         for spec in (task.left_input, task.right_input):

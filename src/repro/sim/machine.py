@@ -142,6 +142,12 @@ _PAPER_CONFIG = MachineConfig(
 )
 
 
+#: Label suffix of a busy span spent on stream handshakes: a process
+#: labels its handshake spans ``f"{name}{HANDSHAKE_SUFFIX}"`` and its
+#: work spans ``name``.
+HANDSHAKE_SUFFIX = ":hs"
+
+
 class Processor:
     """One node's CPU: serially acquired, with a labelled busy trace.
 

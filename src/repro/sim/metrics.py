@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .machine import MachineConfig
+from .machine import HANDSHAKE_SUFFIX, MachineConfig
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,12 @@ class SimulationResult:
         kinds from 0.0."""
         total = 0
         work = handshake = 0.0
+        suffix = HANDSHAKE_SUFFIX
         for spans in self.intervals.values():
             for start, end, label in spans:
                 span = end - start
                 total += span
-                if label.endswith(":hs"):
+                if label.endswith(suffix):
                     handshake += span
                 else:
                     work += span

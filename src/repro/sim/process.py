@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from .events import SimulationClock
-from .machine import MachineConfig, Processor
+from .machine import HANDSHAKE_SUFFIX, MachineConfig, Processor
 from .streams import ConsumerGroup, EPSILON, Port
 
 
@@ -191,7 +191,7 @@ class OperationProcess:
             return False
         self.cpu_busy = True
         end = self.processor.acquire(
-            self.clock.now, duration, f"{self.name}:hs", self.spans
+            self.clock.now, duration, self.name + HANDSHAKE_SUFFIX, self.spans
         )
         self.clock.at(end, self._handshake_done)
         return True
@@ -213,7 +213,7 @@ class OperationProcess:
         chunk produces, occupy the CPU, schedule :meth:`_chunk_done` —
         or call :meth:`_maybe_finish` when nothing is pending.  Chunk
         size is ``min(port.pending, cap)`` with the remainder snapped
-        to zero below ``EPSILON`` (:meth:`Port.take`, inlined)."""
+        to zero below ``EPSILON``."""
         raise NotImplementedError
 
     def _chunk_done(self, port: Port, chunk: float, out: float) -> None:

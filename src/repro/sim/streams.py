@@ -109,15 +109,6 @@ class Port:
         """Stream closed and every delivered tuple processed."""
         return self.stream_closed and self.pending <= EPSILON
 
-    def take(self, cap: float) -> float:
-        """Remove up to ``cap`` pending tuples for processing (the
-        operation processes' chunk steps inline exactly this)."""
-        chunk = min(self.pending, cap)
-        self.pending -= chunk
-        if self.pending < EPSILON:
-            self.pending = 0.0
-        return chunk
-
     def chunk_cap(self, batches: int) -> float:
         """Preferred CPU chunk size: the fragment split into ``batches``."""
         if self.local_total <= 0:

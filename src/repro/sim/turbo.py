@@ -107,7 +107,7 @@ once per copy, in sequence; an idle process absorbs one copy and
 queues the rest behind its chunk.  Work grows with distinct emissions,
 not with the replicas the paper's uniform fragmentation makes of them.
 
-Turbo v2 adds three layers on top of the v1 interpreter:
+Turbo v2 adds two layers on top of the v1 interpreter:
 
 * **Profile cache** — the analytic run is a pure function of each
   task's derivation (:class:`~repro.sim.run.TaskDerivation`: wiring,
@@ -128,10 +128,6 @@ Turbo v2 adds three layers on top of the v1 interpreter:
   lives in this process only, so a changed chunk policy (a code
   change) always starts from an empty one; code that alters the
   process model at runtime calls :func:`clear_cache`.
-* **Cross-query structure memo** — the topological order and the
-  disjointness/graph validation of :func:`_topo_order` depend only on
-  the schedule's structure, not on costs or times; workloads rerunning
-  one spec thousands of times share a single memo entry.
 * **Hosted epochs** — :func:`execute_hosted` runs a *hosted* (shared
   clock, processor pool, ``on_complete``) simulation analytically when
   its processors are idle and no pending event that can act on it is
@@ -161,6 +157,7 @@ from operator import eq, itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..core.numeric import ordered_sum
+from .machine import HANDSHAKE_SUFFIX
 from .metrics import SimulationResult, TaskTiming
 from .streams import EPSILON
 
@@ -180,15 +177,9 @@ _INF = float("inf")
 _PROFILE_CACHE: Dict[tuple, tuple] = {}
 _PROFILE_CACHE_MAX = 128
 
-#: Structure memo: pure schedule-shape signature -> topo order or None.
-_STRUCTURE_CACHE: Dict[tuple, Optional[List[int]]] = {}
-_STRUCTURE_CACHE_MAX = 256
-
 _STATS = {
     "profile_hits": 0,
     "profile_misses": 0,
-    "structure_hits": 0,
-    "structure_misses": 0,
     "hosted_runs": 0,
     "hosted_rollbacks": 0,
     "sibling_runs": 0,
@@ -206,20 +197,19 @@ class _SameInstantTie(Exception):
 
 
 def clear_cache() -> None:
-    """Drop every cached profile and structure memo (tests, and any
+    """Drop every cached profile and zero the counters (tests, and any
     caller that mutated process-model semantics at runtime)."""
     _PROFILE_CACHE.clear()
-    _STRUCTURE_CACHE.clear()
     for key in _STATS:
         _STATS[key] = 0
 
 
 def cache_stats() -> Dict[str, int]:
-    """Counters since the last :func:`clear_cache` (copies; mutating
-    the returned dict changes nothing)."""
+    """Counters since the last :func:`clear_cache`, plus the profile
+    cache's size as ``profile_entries`` — turbo's only cache (copies;
+    mutating the returned dict changes nothing)."""
     stats = dict(_STATS)
     stats["profile_entries"] = len(_PROFILE_CACHE)
-    stats["structure_entries"] = len(_STRUCTURE_CACHE)
     return stats
 
 #: Sort rank placing a stored-result delivery after any (impossible)
@@ -303,34 +293,6 @@ def _topo_order(sim) -> Optional[List[int]]:
     return order
 
 
-def _structure_key(sim) -> tuple:
-    """The pure schedule-shape signature :func:`_topo_order` depends
-    on: each task's processors, barriers and consumer wiring — no
-    costs, no times.  Identical across every rerun of one spec, which
-    is what makes the memo a cross-query win."""
-    return tuple(
-        (d.index, d.processors, d.start_after, d.consumer)
-        for d in (rt.derived for rt in sim.runtimes)
-    )
-
-
-def _topo_memo(sim) -> Optional[List[int]]:
-    """Memoized :func:`_topo_order` (structure-keyed; see above)."""
-    key = _structure_key(sim)
-    try:
-        order = _STRUCTURE_CACHE[key]
-        _STATS["structure_hits"] += 1
-        return order
-    except KeyError:
-        pass
-    _STATS["structure_misses"] += 1
-    order = _topo_order(sim)
-    if len(_STRUCTURE_CACHE) >= _STRUCTURE_CACHE_MAX:
-        _STRUCTURE_CACHE.pop(next(iter(_STRUCTURE_CACHE)))
-    _STRUCTURE_CACHE[key] = order
-    return order
-
-
 def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
     """Checks shared by owned and hosted eligibility; returns the topo
     order or ``None``.  Clock-ownership and time-origin checks live
@@ -376,7 +338,7 @@ def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
         for process in rt.processes:
             if process.work_scale <= 0 or process.aborted:
                 return None
-    return _topo_memo(sim)
+    return _topo_order(sim)
 
 
 def _eligible(sim) -> Optional[List[int]]:
@@ -608,7 +570,7 @@ def _run_process(
     rc = proc.result_coeff
     batches = config.batches
     name = proc.name
-    hs_label = f"{name}:hs"
+    hs_label = name + HANDSHAKE_SUFFIX
     pipe_out = proc.output is not None and proc.output_pipelined
     has_close = proc.output is not None and not proc.output_pipelined
     close_d = len(proc.output.ports) * hs_unit if has_close else 0.0

@@ -40,7 +40,6 @@ from ..core.cost import CostModel
 from ..core.memory import MemoryModel, peak_memory_per_processor
 from ..core.numeric import ordered_sum
 from ..core.strategies import get_strategy
-from ..model.analytic import forecast_epoch_end
 from ..sim import turbo
 from ..sim.events import EventHandle, SimulationClock
 from ..sim.machine import MachineConfig, NetworkLink, Processor
@@ -892,25 +891,14 @@ class WorkloadEngine:
         path leaves engine state exactly where the classic loop would; a
         rollback (barrier miss or same-instant tie) leaves the sim's
         other build events armed and the heap drains it classically.
-        The analytic forecast is only a pre-gate against computing runs
-        that would roll back; ``execute_hosted`` checks the exact
-        completion."""
+        Every epoch whose barrier lies after ``now`` is computed: the
+        exact ``finished_at < barrier`` check in ``execute_hosted`` is
+        the only gate, and no model estimate is consulted."""
         now = self.machine.clock.now
         barrier = self._fast_path_barrier(record, allocation, sim, order)
         if (
             barrier is not None
             and now < barrier
-            and (
-                barrier == _INF
-                or forecast_epoch_end(
-                    sim.schedule,
-                    sim.catalog,
-                    now,
-                    self.machine.config,
-                    self.cost_model,
-                )
-                < barrier
-            )
             and turbo.execute_hosted(sim, barrier) is not None
         ):
             self.fast_path_queries += 1

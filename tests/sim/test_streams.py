@@ -36,7 +36,7 @@ class TestPort:
         p = port(producers=1)
         p.receive(10.0, 1, now=0.0)
         assert p.stream_closed and not p.drained
-        p.take(100.0)
+        p.pending = 0.0
         assert p.drained
 
     def test_base_ports_always_closed(self):
@@ -48,14 +48,6 @@ class TestPort:
         p.receive(0.0, 1, now=0.0)
         with pytest.raises(RuntimeError, match="EOS"):
             p.receive(0.0, 1, now=0.0)
-
-    def test_take_caps(self):
-        p = port()
-        p.receive(10.0, 0, now=0.0)
-        assert p.take(4.0) == 4.0
-        assert p.pending == 6.0
-        assert p.take(100.0) == 6.0
-        assert p.pending == 0.0
 
     def test_negative_batch_rejected(self):
         with pytest.raises(ValueError):

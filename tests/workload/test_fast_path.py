@@ -131,6 +131,27 @@ class TestEligibility:
         )
         assert rows_json(on) == rows_json(off)
 
+    def test_hosted_fast_path_consults_no_model_estimate(self, monkeypatch):
+        """The cancellation makes every epoch's barrier finite; the
+        exact completion check alone decides, so a model that cannot
+        predict anything changes neither the rows nor the fast path."""
+        kwargs = dict(
+            mix_or_shape="wide_bushy", arrivals="poisson", rate=0.5,
+            duration=40.0, seed=3, machine_size=12, policy="exclusive",
+            cardinality=300, config=FAST, cancellations=[[30.0, 5]],
+        )
+        turbo.clear_cache()
+        plain = api.run_workload(**kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the hosted fast path consulted the model")
+
+        monkeypatch.setattr("repro.model.analytic.predict_schedule", refuse)
+        turbo.clear_cache()
+        patched = api.run_workload(**kwargs)
+        assert rows_json(patched) == rows_json(plain)
+        assert patched.fast_path_queries > 0
+
     def test_summary_reports_fast_path(self):
         turbo.clear_cache()
         result = api.run_workload(
