@@ -113,8 +113,11 @@ class FaultInjector:
         # Any armed perturbation — even one that never fires — must
         # keep the run on the event loop (repro.sim.turbo stands down).
         sim.perturbed = True
+        # Reading the processors builds an owned run's process graph, so
+        # its events go on the clock ahead of the crashes below.
+        processors = sim.processors
         for stall in self.schedule.stalls:
-            processor = sim.processors.get(stall.processor)
+            processor = processors.get(stall.processor)
             if processor is not None:
                 processor.stalls.append(
                     (stall.start, stall.end, stall.factor)
@@ -125,7 +128,7 @@ class FaultInjector:
             )
             sim.network.faults = self.link_state
         for crash in self.schedule.crashes:
-            if crash.processor in sim.processors:
+            if crash.processor in processors:
                 sim.clock.at(crash.at, self._crash_simulation, sim, crash)
 
     def attach_engine(self, engine: "WorkloadEngine") -> None:

@@ -15,7 +15,7 @@ threads per request.
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, Optional
+from typing import Dict, IO, Iterator, List, Optional
 
 from ..core.shapes import SHAPE_NAMES
 from ..options import OPTIONS, QWC, WC, Option
@@ -29,6 +29,14 @@ SERVICE_BACKENDS = ("sim", "ideal")
 #: line must not hold the stream for minutes or exhaust memory.
 #: :func:`repro.api.run` itself keeps no limit.
 MAX_QUERY_PROCESSORS = 1024
+
+#: The longest request line :func:`serve` reads, in characters (1 MiB
+#: of ASCII).  A longer line is answered ``ok: false`` without ever being
+#: held whole, and the stream goes on with the next line.
+MAX_LINE_CHARS = 1 << 20
+
+#: Characters :func:`serve` asks a stream for in one read.
+_READ_CHARS = 1 << 16
 
 #: Request keys that are the service's own rather than facade knobs.
 _SERVICE_OPTIONS = (
@@ -364,23 +372,65 @@ def serve(
     """Pump line-delimited JSON requests through a service.
 
     Blank lines are skipped; unparseable lines — bad syntax, the
-    non-finite constants, nesting too deep to parse — produce an error
-    response on their line rather than aborting the stream.  Returns
-    the number of requests served.
+    non-finite constants, nesting too deep to parse — and lines longer
+    than :data:`MAX_LINE_CHARS` produce an error response on their line
+    rather than aborting the stream.  Returns the number of requests
+    served.
     """
     service = service or QueryService()
     served = 0
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line, parse_constant=_reject_constant)
-        except (ValueError, RecursionError) as exc:
-            response = {"ok": False, "error": f"bad JSON: {exc}"}
+    for line in _request_lines(in_stream):
+        if line is None:
+            response = {
+                "ok": False,
+                "error": f"request line longer than {MAX_LINE_CHARS} characters",
+            }
         else:
-            response = service.handle(request)
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                request = json.loads(line, parse_constant=_reject_constant)
+            except (ValueError, RecursionError) as exc:
+                response = {"ok": False, "error": f"bad JSON: {exc}"}
+            else:
+                response = service.handle(request)
         out_stream.write(json.dumps(response, sort_keys=True) + "\n")
         out_stream.flush()
         served += 1
     return served
+
+
+def _request_lines(in_stream) -> Iterator[Optional[str]]:
+    """The lines of ``in_stream``, ``None`` for one longer than
+    :data:`MAX_LINE_CHARS`.
+
+    A stream with ``readline`` is read :data:`_READ_CHARS` characters at
+    a time: a line is held only up to the limit, and the rest of an
+    oversized one is discarded read by read, up to its newline.  Any
+    other iterable holds its lines already, and they are only measured.
+    """
+    readline = getattr(in_stream, "readline", None)
+    if readline is None:
+        for line in in_stream:
+            yield line if len(line.rstrip("\r\n")) <= MAX_LINE_CHARS else None
+        return
+    pieces: Optional[List[str]] = []
+    held = 0
+    while True:
+        piece = readline(_READ_CHARS)
+        ended = piece.endswith("\n")
+        if pieces is not None:
+            held += len(piece) - ended
+            pieces.append(piece)
+            if held > MAX_LINE_CHARS:
+                pieces = None  # too long: keep nothing more of it
+        if ended or not piece:
+            if pieces is None:
+                yield None
+            elif held or ended:
+                yield "".join(pieces)
+            if not piece:
+                return
+            pieces = []
+            held = 0

@@ -20,7 +20,10 @@ results bit-identical.
 
 from __future__ import annotations
 
+import heapq
+import weakref
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     Callable,
     Collection,
@@ -165,8 +168,59 @@ class _TaskRuntime:
     output_pipelined: bool = False
 
 
+class _BuiltOnAccess:
+    """An attribute of the process graph (:meth:`ScheduleSimulation._build`
+    sets it on the instance): reading it before then builds the graph,
+    and later reads find the instance's own value."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, sim, owner=None):
+        if sim is None:
+            return self
+        sim._build()
+        return sim.__dict__[self.name]
+
+
+class _OwnedClock(SimulationClock):
+    """The clock of an owned simulation: running it builds the
+    simulation's process graph first, and with it the init and release
+    events the run starts from."""
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: "ScheduleSimulation") -> None:
+        super().__init__()
+        self._sim = weakref.ref(sim)
+
+    def run(self, *args, **kwargs) -> float:
+        sim = self._sim()
+        if sim is not None:
+            sim._build()
+        return super().run(*args, **kwargs)
+
+
 class ScheduleSimulation:
-    """One simulated execution of a parallel schedule."""
+    """One simulated execution of a parallel schedule.
+
+    Its process graph — one :class:`~repro.sim.process.OperationProcess`
+    per (task, processor) with its ports, the consumer groups, the
+    runtimes and the scheduler's init and release events — is built
+    from the tasks' derivations (:class:`TaskDerivation`).  A hosted
+    run builds it at construction: its events belong on the shared
+    clock from then on.  An owned run builds it only when something
+    needs it: :meth:`run` first offers the run to turbo
+    (:func:`repro.sim.turbo.execute`), which computes from the
+    derivations alone, and builds only if turbo declines.  Reading
+    :attr:`processors` or :attr:`runtimes` builds it too (a fault
+    injector does, so does :meth:`abort`), and so does running the
+    owned clock directly.  Objects built after turbo computed the run
+    take its outcome (:func:`repro.sim.turbo.write_back`).
+    """
+
+    processors = _BuiltOnAccess()
+    runtimes = _BuiltOnAccess()
 
     def __init__(
         self,
@@ -228,7 +282,7 @@ class ScheduleSimulation:
         self.cost_model = cost_model
         self.skew_theta = skew_theta
         self._owns_clock = clock is None
-        self.clock = clock if clock is not None else SimulationClock()
+        self.clock = clock if clock is not None else _OwnedClock(self)
         self._pool = processor_pool
         self.start_at = start_at
         self.label_prefix = label_prefix
@@ -256,7 +310,6 @@ class ScheduleSimulation:
         self.deadline = deadline
         self._deadline_handle = None
         self._completed_tasks = 0
-        self.processors: Dict[int, Processor] = {}
         #: Hosted runs: per logical processor, this run's own spans of
         #: the shared ``Processor.intervals`` (kept by
         #: ``Processor.acquire``; by the hosted fast path when it
@@ -267,14 +320,18 @@ class ScheduleSimulation:
             if network is not None
             else NetworkLink(self.config.network_bandwidth)
         )
-        self.skip_tasks: FrozenSet[int] = self._close_skips(skip_tasks)
         if derived is None:
             derived = derive_tasks(schedule, catalog, cost_model, skew_theta)
-        self.runtimes: List[_TaskRuntime] = [
-            _TaskRuntime(task=task, derived=spec)
-            for task, spec in zip(schedule.tasks, derived)
-        ]
-        self._build()
+        self.derived = derived
+        self.skip_tasks: FrozenSet[int] = self._close_skips(skip_tasks)
+        self._built = False
+        #: What turbo computed for an owned run before its graph existed:
+        #: ``(rows, finals, cpus)`` (:func:`repro.sim.turbo.execute`).
+        self._outcome: Optional[tuple] = None
+        #: The clock's push count once the graph's own events are on it.
+        self._build_seq = 0
+        if not self._owns_clock or processor_pool is not None:
+            self._build()
 
     # -- construction -----------------------------------------------------
 
@@ -282,7 +339,9 @@ class ScheduleSimulation:
         """Validate and close ``skip_tasks`` under input sources.
 
         If a task's result is being replayed, everything that only fed
-        that task has nothing left to produce, so it is reused too.
+        that task has nothing left to produce, so it is reused too.  A
+        reused task whose live consumer takes its output pipelined is
+        rejected.
         """
         if not requested:
             return frozenset()
@@ -303,6 +362,19 @@ class ScheduleSimulation:
             raise ValueError(
                 "the root task's result cannot be reused; nothing would run"
             )
+        by_index = {spec.index: spec for spec in self.derived}
+        for spec in self.derived:
+            target = spec.consumer
+            if spec.index not in skip or target is None or target[0] in skip:
+                continue
+            consumer = by_index[target[0]]
+            mode = (consumer.left if target[1] == "left" else consumer.right)[0]
+            if mode == "pipelined":
+                raise ValueError(
+                    f"task {spec.index} cannot be reused: its output "
+                    "is pipelined into a live consumer, and pipelined "
+                    "dataflow state died with the crashed processes"
+                )
         return frozenset(skip)
 
     def _processor(self, ident: int) -> Processor:
@@ -315,6 +387,15 @@ class ScheduleSimulation:
         return self.processors[ident]
 
     def _build(self) -> None:
+        """Build the process graph, once: every later call is a no-op."""
+        if self._built:
+            return
+        self._built = True
+        self.processors: Dict[int, Processor] = {}
+        self.runtimes: List[_TaskRuntime] = [
+            _TaskRuntime(task=task, derived=spec)
+            for task, spec in zip(self.schedule.tasks, self.derived)
+        ]
         # Create processes with their input ports, all from the tasks'
         # derivations.
         by_index = {rt.task.index: rt for rt in self.runtimes}
@@ -371,12 +452,6 @@ class ScheduleSimulation:
                 continue
             consumer = by_index[consumer_index].derived
             mode = (consumer.left if side == "left" else consumer.right)[0]
-            if runtime.task.index in self.skip_tasks and mode == "pipelined":
-                raise ValueError(
-                    f"task {runtime.task.index} cannot be reused: its output "
-                    "is pipelined into a live consumer, and pipelined "
-                    "dataflow state died with the crashed processes"
-                )
             group = ConsumerGroup(
                 ports_by_task_side[(consumer_index, side)],
                 self.config.network_latency,
@@ -395,6 +470,21 @@ class ScheduleSimulation:
             for dep in runtime.task.start_after:
                 by_index[dep].dependents.append(runtime)
 
+        if self._outcome is not None:
+            # Turbo computed the run before anything read its objects:
+            # they take its outcome, and nothing is left to schedule.
+            turbo.write_back(self, self._outcome)
+            return
+
+        # Anything pushed on an owned clock before the graph existed (by
+        # a tool or a test) goes back behind the graph's own events, as
+        # if the graph had been built at construction.
+        clock = self.clock
+        early = []
+        if self._owns_clock:
+            early = sorted(clock._queue, key=itemgetter(1))
+            clock._queue.clear()
+
         # Serial scheduler initialization: one process after another,
         # in task order then processor order (Section 2.2).  Hosted
         # runs schedule cancellably and keep the handles: the epoch
@@ -404,9 +494,7 @@ class ScheduleSimulation:
         # like a plain one, so the classic hosted path is unchanged.
         hosted = self._pool is not None
         self._build_handles = [] if hosted else None
-        schedule_event = (
-            self.clock.at_cancellable if hosted else self.clock.at
-        )
+        schedule_event = clock.at_cancellable if hosted else clock.at
         sequence = 0
         for runtime in self.runtimes:
             for process in runtime.processes:
@@ -440,16 +528,18 @@ class ScheduleSimulation:
         # so a met deadline never dispatches, never counts, and never
         # advances the clock (bit-for-bit deadline-free identity).
         if self.deadline is not None:
-            self._deadline_handle = self.clock.at_cancellable(
+            self._deadline_handle = clock.at_cancellable(
                 self.deadline, self._deadline_expired
             )
 
-        # Everything scheduled so far is _build's own; anything pushed
-        # after this point (by tests or tools) disqualifies the owned
-        # analytic fast path, which only replays _build's events.  A
-        # hosted run shares its clock, and its host bounds what else can
-        # act on it instead.
-        self._build_seq = self.clock._seq
+        # Everything scheduled so far is _build's own; anything else on
+        # the clock disqualifies the owned analytic fast path, which
+        # only replays _build's events.  A hosted run shares its clock,
+        # and its host bounds what else can act on it instead.
+        self._build_seq = clock._seq
+        for time, _seq, handle, fn, args in early:
+            heapq.heappush(clock._queue, (time, clock._seq, handle, fn, args))
+            clock._seq += 1
 
     # -- run-time callbacks -------------------------------------------------
 
@@ -519,11 +609,12 @@ class ScheduleSimulation:
         pipelines.  Idempotent; a no-op after normal completion."""
         if self.finished_at is not None or self.aborted_reason is not None:
             return
+        runtimes = self.runtimes  # builds the graph: its processes go inert
         self.aborted_reason = reason
         self.aborted_at = self.clock.now
         if self._deadline_handle is not None:
             self._deadline_handle.cancel()
-        for runtime in self.runtimes:
+        for runtime in runtimes:
             for process in runtime.processes:
                 process.abort()
 
@@ -538,7 +629,7 @@ class ScheduleSimulation:
             )
         self.analytic = turbo.execute(self)
         if not self.analytic:
-            self.clock.run()
+            self.clock.run()  # builds the graph first
         if self.aborted_reason is not None:
             raise QueryAbortedError(self.aborted_reason, self.aborted_at or 0.0)
         return self.result()
@@ -550,32 +641,45 @@ class ScheduleSimulation:
         exactly the paper's measure, for a hosted run the query's
         service time on the shared machine.  On shared processors only
         the run's own busy intervals (:meth:`own_intervals`) are
-        attributed to the query.
+        attributed to the query.  A run turbo computed before its graph
+        was built is packaged from turbo's outcome, building nothing.
         """
         if self.aborted_reason is not None:
             raise QueryAbortedError(self.aborted_reason, self.aborted_at or 0.0)
-        unfinished = [rt.task.index for rt in self.runtimes if rt.completion is None]
+        outcome = None if self._built else self._outcome
+        if outcome is None:
+            rows = []
+            for runtime in self.runtimes:
+                starts = [
+                    p.start_time for p in runtime.processes if p.start_time is not None
+                ]
+                rows.append((
+                    runtime.released_at,
+                    min(starts) if starts else None,
+                    runtime.completion,
+                ))
+            root = [p.out_total for p in self.runtimes[-1].processes]
+        else:
+            rows, finals, _cpus = outcome
+            root = [final[2] for final in finals[-1]]
+        tasks = self.schedule.tasks
+        unfinished = [task.index for task, row in zip(tasks, rows) if row[2] is None]
         if unfinished:
             raise RuntimeError(
                 f"simulation drained its event queue with tasks {unfinished} "
                 "incomplete; schedule wiring bug"
             )
-        response = max(rt.completion for rt in self.runtimes) - self.start_at
-        timings = []
-        for runtime in self.runtimes:
-            starts = [
-                p.start_time for p in runtime.processes if p.start_time is not None
-            ]
-            timings.append(
-                TaskTiming(
-                    index=runtime.task.index,
-                    label=runtime.task.join.label or str(runtime.task.index),
-                    released=runtime.released_at,
-                    first_work=min(starts) if starts else None,
-                    completion=runtime.completion,
-                )
+        response = max(row[2] for row in rows) - self.start_at
+        timings = [
+            TaskTiming(
+                index=task.index,
+                label=task.join.label or str(task.index),
+                released=released,
+                first_work=first_work,
+                completion=completion,
             )
-        root = self.runtimes[-1]
+            for task, (released, first_work, completion) in zip(tasks, rows)
+        ]
         return SimulationResult(
             strategy=self.schedule.strategy,
             processors=self.schedule.processors,
@@ -583,10 +687,14 @@ class ScheduleSimulation:
             config=self.config,
             task_timings=timings,
             intervals=self.own_intervals(),
-            operation_processes=sum(len(rt.processes) for rt in self.runtimes),
+            operation_processes=sum(
+                len(spec.processors)
+                for spec in self.derived
+                if spec.index not in self.skip_tasks
+            ),
             stream_count=self.schedule.stream_count(),
             events=self.clock.events_dispatched,
-            result_tuples=ordered_sum(p.out_total for p in root.processes),
+            result_tuples=ordered_sum(root),
         )
 
     def own_intervals(self) -> Dict[int, List[Tuple[float, float, str]]]:
@@ -599,6 +707,9 @@ class ScheduleSimulation:
         Valid mid-run too: an aborted attempt's burnt CPU is the sum
         over this.
         """
+        if not self._built and self._outcome is not None:
+            cpus = self._outcome[2]
+            return {ident: list(cpus[ident].intervals) for ident in sorted(cpus)}
         spans = self._spans if self._pool is not None else None
         return {
             ident: list(processor.intervals if spans is None else spans[ident])

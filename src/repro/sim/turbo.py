@@ -22,6 +22,18 @@ module must match bit for bit.  The golden-identity fixtures under
 ``tests/golden/`` and the deadline/fault byte-identity tests pin that
 equivalence continuously.
 
+Turbo reads no process or port.  :func:`_tasks` makes one flat record
+per task from its :class:`~repro.sim.run.TaskDerivation` — the task's
+constants; a process is that record plus its processor and share — and
+:func:`_compute` interprets them on private processor traces
+(:class:`_Cpu`), returning the outcome and writing nothing.  The
+caller commits it.  An owned simulation whose process graph was never
+built keeps the outcome for its result, so an eligible owned run makes
+no process, port or heap event at all; a simulation whose objects
+exist — a hosted one always, an owned one something built — gets the
+outcome written into them (:func:`write_back`), leaving them as the
+classic loop leaves a finished run.
+
 Correctness notes (why this reproduces the event loop exactly):
 
 * **Float identity** — every arithmetic expression below mirrors the
@@ -43,8 +55,8 @@ Correctness notes (why this reproduces the event loop exactly):
   arrivals.  The one case emit times cannot settle — an arrival
   emitted at the very instant a chunk started, landing as the chunk
   completes, so both were pushed at one instant in an order set by
-  which callback ran first — is declined: the run rolls back and stays
-  on the event loop (``cache_stats()["tie_declines"]``).
+  which callback ran first — is declined: nothing has been written, and
+  the run stays on the event loop (``cache_stats()["tie_declines"]``).
   Configurations where ties are pervasive (zero startup, latency or
   handshake cost — e.g. ``MachineConfig.ideal()``) are declared
   ineligible and stay on the event loop.
@@ -139,15 +151,16 @@ Turbo v2 adds two layers on top of the v1 interpreter:
   without claims, every pending event.  All arithmetic uses absolute
   times with ``start_at`` baked in — never rebased offsets, because
   float addition does not associate — so the result is bit-identical
-  to the classic hosted run.  If the computed completion would overlap
-  the caller-supplied event barrier, or the run meets a same-instant
-  tie, every mutation is rolled back and the classic loop proceeds as
-  if turbo had never looked.  The host takes that decision when the
-  simulation's first build event dispatches
-  (``ScheduleSimulation.on_start``), not when it builds it: by then
-  everything its start instant holds before that event — the rest of
-  the admitting callback, other completions at the same instant — has
-  happened and is visible to the host.
+  to the classic hosted run.  The epoch is committed only if its
+  computed completion lies before the caller-supplied event barrier;
+  past it, or at a same-instant tie, the computed run is dropped — it
+  never left turbo's private traces, so there is nothing to undo — and
+  the classic loop proceeds as if turbo had never looked.  The host
+  takes that decision when the simulation's first build event
+  dispatches (``ScheduleSimulation.on_start``), not when it builds it:
+  by then everything its start instant holds before that event — the
+  rest of the admitting callback, other completions at the same
+  instant — has happened and is visible to the host.
 """
 
 from __future__ import annotations
@@ -222,40 +235,109 @@ _STAMP = itemgetter(0, 1)
 _COPIES = itemgetter(7)
 
 
-def _topo_order(sim) -> Optional[List[int]]:
+class _Task:
+    """One join task as the interpreter reads it: its
+    :class:`~repro.sim.run.TaskDerivation`, the constants the machine
+    and its consumer add, and its place in the dataflow by task
+    position.  Made per run by :func:`_tasks`; a process is this plus
+    its processor and share."""
+
+    __slots__ = (
+        "derived", "start_after", "sources", "dependents", "side", "name",
+        "hs_label", "simple", "bflag", "pipe_out", "stored_out", "h",
+        "close_d", "config",
+    )
+
+
+class _Cpu:
+    """One logical processor as the interpreter sees it: when it is next
+    free, and the busy spans this run adds to it — the run's own until
+    :func:`write_back` commits them to a :class:`~repro.sim.machine.Processor`."""
+
+    __slots__ = ("busy_until", "intervals")
+
+    def __init__(self, busy_until: float) -> None:
+        self.busy_until = busy_until
+        self.intervals: List[tuple] = []
+
+
+def _tasks(sim) -> Optional[List[_Task]]:
+    """Each task's :class:`_Task`, in schedule order, from the
+    simulation's derivations alone; ``None`` if the wiring is one the
+    interpreter does not support (a task with no processes or a
+    repeated processor, a barrier or input naming no other task, a
+    streamed input nothing feeds, a non-positive work scale)."""
+    derived = sim.derived
+    config = sim.config
+    hs_unit = config.handshake
+    pos_of = {d.index: i for i, d in enumerate(derived)}
+    sources: List[List[Optional[int]]] = [[None, None] for _ in derived]
+    for j, d in enumerate(derived):
+        if d.consumer is not None:
+            i = pos_of.get(d.consumer[0])
+            if i is None or i == j:
+                return None
+            sources[i][d.consumer[1] == "right"] = j
+    tasks = []
+    for i, d in enumerate(derived):
+        procs = d.processors
+        if not procs or len(set(procs)) != len(procs) or d.work_scale <= 0:
+            return None
+        start_after = [pos_of.get(dep) for dep in d.start_after]
+        if None in start_after or i in start_after:
+            return None
+        handshakes = 0
+        for (mode, _coeff, producers, _total), source in zip((d.left, d.right), sources[i]):
+            if mode != "base":
+                if source is None:
+                    return None
+                handshakes += producers
+        task = _Task()
+        task.derived = d
+        task.start_after = start_after
+        task.sources = sources[i]
+        task.dependents = []
+        task.name = name = f"{sim.label_prefix}J{d.index}"
+        task.hs_label = name + HANDSHAKE_SUFFIX
+        task.simple = d.algorithm == "simple"
+        task.bflag = 1 if task.simple and d.build_side == "right" else 0
+        task.config = config
+        task.side = 0
+        task.pipe_out = task.stored_out = False
+        task.close_d = 0.0
+        if d.consumer is not None:
+            index, side = d.consumer
+            consumer = derived[pos_of[index]]
+            width = len(consumer.processors)
+            task.side = 1 if side == "right" else 0
+            if (consumer.right if task.side else consumer.left)[0] == "pipelined":
+                task.pipe_out = True
+                handshakes += width
+            else:
+                task.stored_out = True
+                task.close_d = width * hs_unit
+        task.h = handshakes * hs_unit
+        tasks.append(task)
+    for i, task in enumerate(tasks):
+        for j in task.start_after:
+            tasks[j].dependents.append(i)
+    return tasks
+
+
+def _topo_order(tasks: List[_Task]) -> Optional[List[int]]:
     """Order tasks so every barrier predecessor and dataflow source
     precedes its dependents, and verify that tasks *not* ordered by
     barriers occupy disjoint processors — otherwise a per-task
     sequential simulation cannot reproduce the interleaved timeline.
 
-    Returns runtime positions in simulation order, or ``None`` if the
+    Returns task positions in simulation order, or ``None`` if the
     schedule's structure is unsupported.
     """
-    runtimes = sim.runtimes
-    n = len(runtimes)
-    pos_of = {rt.task.index: i for i, rt in enumerate(runtimes)}
-    barrier_preds: List[List[int]] = [[] for _ in range(n)]
-    all_preds: List[List[int]] = [[] for _ in range(n)]
-    procsets: List[frozenset] = []
-    for i, rt in enumerate(runtimes):
-        task = rt.task
-        if not rt.processes:
-            return None
-        if len(set(task.processors)) != len(task.processors):
-            return None
-        for dep in task.start_after:
-            j = pos_of.get(dep)
-            if j is None or j == i:
-                return None
-            barrier_preds[i].append(j)
-            all_preds[i].append(j)
-        for spec in (task.left_input, task.right_input):
-            if not spec.is_base:
-                j = pos_of.get(spec.source)
-                if j is None or j == i:
-                    return None
-                all_preds[i].append(j)
-        procsets.append(frozenset(task.processors))
+    n = len(tasks)
+    all_preds = [
+        task.start_after + [s for s in task.sources if s is not None]
+        for task in tasks
+    ]
 
     # Kahn's algorithm, stable by original position (determinism only;
     # independent tasks commute — they share no processors).
@@ -280,9 +362,10 @@ def _topo_order(sim) -> Optional[List[int]]:
     ancestors = [0] * n
     for i in order:
         mask = 0
-        for j in barrier_preds[i]:
+        for j in tasks[i].start_after:
             mask |= (1 << j) | ancestors[j]
         ancestors[i] = mask
+    procsets = [frozenset(task.derived.processors) for task in tasks]
     for a in range(n):
         mask_a = ancestors[a]
         mine = procsets[a]
@@ -293,13 +376,19 @@ def _topo_order(sim) -> Optional[List[int]]:
     return order
 
 
-def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
-    """Checks shared by owned and hosted eligibility; returns the topo
-    order or ``None``.  Clock-ownership and time-origin checks live
-    with the callers."""
-    if sim.deadline is not None or sim.skip_tasks:
+def _plan(sim) -> Optional[tuple]:
+    """Checks shared by owned and hosted eligibility, and what the run
+    is computed from: ``(tasks, order, cpus)``, or ``None``.  Clock
+    ownership and the time origin are checked by the callers.
+
+    Everything read here is in the derivations, the config, the cost
+    model and the network — the profile cache's key — except on a
+    simulation whose objects exist, whose processors must also be
+    stall-free and idle by its start (shared processors carry history
+    from earlier queries; label prefixes keep traces disjoint)."""
+    if sim.deadline is not None or sim.skip_tasks or sim.perturbed:
         return None
-    if getattr(sim, "perturbed", False):
+    if sim.aborted_reason is not None:
         return None
     network = sim.network
     if network.faults is not None or network.bandwidth != _INF:
@@ -320,30 +409,29 @@ def _common_eligible(sim, *, hosted: bool) -> Optional[List[int]]:
     cost_model = sim.cost_model
     if cost_model.base_coeff <= 0 or cost_model.intermediate_coeff <= 0:
         return None
-    start_at = sim.start_at
-    for processor in sim.processors.values():
-        if processor.stalls:
-            return None
-        if hosted:
-            # Shared processors carry history from earlier queries; all
-            # that matters is that none is still busy when this query's
-            # scheduler starts (label prefixes keep traces disjoint).
-            if processor.busy_until > start_at:
+    tasks = _tasks(sim)
+    if tasks is None:
+        return None
+    order = _topo_order(tasks)
+    if order is None:
+        return None
+    if sim._built:
+        start_at = sim.start_at
+        cpus = {}
+        for ident, processor in sim.processors.items():
+            if processor.stalls or processor.busy_until > start_at:
                 return None
-        elif processor.busy_until != 0.0 or processor.intervals:
-            return None
-    for rt in sim.runtimes:
-        if not rt.processes:
-            return None
-        for process in rt.processes:
-            if process.work_scale <= 0 or process.aborted:
-                return None
-    return _topo_order(sim)
+            cpus[ident] = _Cpu(processor.busy_until)
+    else:
+        cpus = {
+            ident: _Cpu(0.0) for task in tasks for ident in task.derived.processors
+        }
+    return tasks, order, cpus
 
 
-def _eligible(sim) -> Optional[List[int]]:
-    """The simulation-order task positions if an *owned* ``sim`` can
-    run analytically, else ``None``."""
+def _eligible(sim) -> Optional[tuple]:
+    """:func:`_plan` of an *owned* ``sim`` that can run analytically,
+    else ``None``."""
     clock = sim.clock
     if not sim._owns_clock or sim._pool is not None:
         return None
@@ -353,29 +441,26 @@ def _eligible(sim) -> Optional[List[int]]:
         return None
     if clock.now != 0.0 or clock.events_dispatched != 0:
         return None
-    # Events scheduled on the clock after _build's own would interleave
-    # with the analytic run — decline.
-    if clock._seq != getattr(sim, "_build_seq", -1):
+    # Events scheduled on the clock besides the graph's own would
+    # interleave with the analytic run — decline.
+    if clock._seq != sim._build_seq:
         return None
-    return _common_eligible(sim, hosted=False)
+    return _plan(sim)
 
 
-def _eligible_hosted(sim) -> Optional[List[int]]:
+def _eligible_hosted(sim) -> Optional[tuple]:
     """Eligibility for a *hosted* simulation none of whose events has
     run yet (freshly built, or in its ``on_start`` hook): external clock
-    at exactly ``start_at``, shared pool with idle processors,
-    cancellable build events to unwind.  A watchdog is allowed — it
-    only observes dispatches, and an epoch dispatches at most its first
-    build event and its completion."""
+    at exactly ``start_at``, shared pool with idle processors.  A
+    watchdog is allowed — it only observes dispatches, and an epoch
+    dispatches at most its first build event and its completion."""
     if sim._owns_clock or sim._pool is None:
         return None
     if sim.on_complete is None:
         return None
     if sim.clock.now != sim.start_at:
         return None
-    if getattr(sim, "_build_handles", None) is None:
-        return None
-    return _common_eligible(sim, hosted=True)
+    return _plan(sim)
 
 
 class _Lead:
@@ -389,15 +474,20 @@ class _Lead:
     leader's future, to the bit.
     """
 
-    __slots__ = ("points", "proc", "width", "nemit", "intervals", "ncomp", "followers")
+    __slots__ = (
+        "points", "final", "busy", "width", "nemit", "intervals", "ncomp",
+        "followers",
+    )
 
     def __init__(self, width: int) -> None:
         #: Dynamic state at a rendezvous -> the leader's ``(emissions,
         #: intervals, completions)`` counts there.
         self.points: Dict[tuple, Tuple[int, int, int]] = {}
-        #: The leader, once it has finished; its final state is read
-        #: off it.  The three below are its own outputs, whole.
-        self.proc = None
+        #: The leader's final state (:func:`_run_process`), once it has
+        #: finished, and its processor's busy time then.  The three
+        #: below are its own outputs, whole.
+        self.final: Optional[tuple] = None
+        self.busy = 0.0
         #: Processes in the task: the copy count the leader gives its
         #: emissions until the followers say otherwise (:func:`_share`).
         self.width = width
@@ -410,22 +500,8 @@ class _Lead:
         self.followers: List[Tuple[int, int, int]] = []
 
 
-def _finish(proc, done_time: float, out_total: float) -> None:
-    """Leave ``proc`` in the lifecycle state the classic loop leaves a
-    finished process in — whichever analytic path finished it (run, or
-    inherited from a leader)."""
-    proc.ready = True
-    proc.released = True
-    proc.started = True
-    proc.cpu_busy = False
-    proc.closing = True
-    proc.done = True
-    proc.done_time = done_time
-    proc.out_total = out_total
-
-
 def _inherit(
-    proc,
+    cpu: _Cpu,
     lead: _Lead,
     at: Tuple[int, int, int],
     nown: int,
@@ -433,25 +509,25 @@ def _inherit(
     ncomp: int,
     open_start: float,
     open_label: Optional[str],
-) -> Tuple[float, int, int]:
-    """Finish ``proc`` with the part of its leader's run that follows
+    own: Tuple[float, Optional[float], Optional[float]],
+) -> Tuple[int, int, tuple]:
+    """Finish a process with the part of its leader's run that follows
     the rendezvous ``at`` — the one definition of what a sibling takes
     from its leader, whichever site they met at.
 
     Shared from the rendezvous on: every emission's times and count,
     every busy interval, the completion count still to come, and the
-    final port, processor and process state.  The sibling's own: its
-    delivery order ``porder``, emission ranks that continue its own
-    count of ``nown`` (the consumer's timeline breaks same-instant ties
-    on them), and the start of the interval open at the rendezvous —
-    siblings agree on where it ends, not on when it began.  The
-    emissions are not copied: the sibling is entered in
-    ``lead.followers``, and each leader emission from the rendezvous on
-    counts it as one more copy of itself (:func:`_share`).
+    final port and process state.  The sibling's own: its delivery
+    order ``porder``, emission ranks that continue its own count of
+    ``nown`` (the consumer's timeline breaks same-instant ties on them),
+    the start of the interval open at the rendezvous — siblings agree
+    on where it ends, not on when it began — and ``own``, its start
+    time and first arrivals.  The emissions are not copied: the sibling
+    is entered in ``lead.followers``, and each leader emission from the
+    rendezvous on counts it as one more copy of itself (:func:`_share`).
     """
     nemit_at, nspan_at, ncomp_at = at
     lead.followers.append((nemit_at, porder, nown - nemit_at))
-    leader = lead.proc
     spans = lead.intervals[nspan_at:]
     if spans:
         # No span means no interval open here and no CPU time after:
@@ -460,35 +536,32 @@ def _inherit(
             # The leader's next span closes the interval open here.
             _, end, label = spans[0]
             spans[0] = (open_start, end, label)
-        processor = proc.processor
-        processor.intervals += spans
-        processor.busy_until = leader.processor.busy_until
-    for port, source in ((proc.left, leader.left), (proc.right, leader.right)):
-        port.pending = source.pending
-        port.processed = source.processed
-        port.eos_received = source.eos_received
-    _finish(proc, leader.done_time, leader.out_total)
+        cpu.intervals += spans
+        cpu.busy_until = lead.busy
+    t_start, l_first, r_first = own
+    _, done, out_total, l_pend, l_done, l_eos, _, r_pend, r_done, r_eos, _ = lead.final
     _STATS["sibling_splices"] += 1
     return (
-        leader.done_time,
         ncomp + lead.ncomp - ncomp_at,
         nown + lead.nemit - nemit_at,
+        (t_start, done, out_total, l_pend, l_done, l_eos, l_first,
+         r_pend, r_done, r_eos, r_first),
     )
 
 
 def _run_process(
-    proc,
-    entries: List[tuple],
+    task: _Task,
+    cpu: _Cpu,
     share: float,
     t_start: float,
+    entries: List[tuple],
     emissions: List[tuple],
     first_pos: Tuple[Optional[float], Optional[float]],
-    latency: float,
     porder: int,
-    side: int,
     lead: Optional[_Lead] = None,
-) -> Tuple[float, int, int]:
-    """Simulate one operation process to completion.
+) -> Tuple[int, int, tuple]:
+    """Simulate one operation process to completion: ``task``'s process
+    on ``cpu`` with fragment share ``share``, started at ``t_start``.
 
     ``entries`` is the task-wide arrival timeline as runs —
     ``(atime, emit, porder, rank, side, count, eos, copies)`` tuples in
@@ -505,19 +578,22 @@ def _run_process(
     entry per side (every entry is eventually received, so the port's
     ``first_arrival`` is a task-level constant and need not be tracked
     per apply).  Pipelined output batches are appended to ``emissions``
-    already in consumer timeline form — ``latency``, ``porder`` and
-    ``side`` are this process's delivery decoration.  ``lead`` is the
-    task's :class:`_Lead` when its processes run in lock step (``None``
-    otherwise): the first process through records its rendezvous points
-    in it, each later one stops at the first point it shares and takes
-    the rest of its run from there (:func:`_inherit`).
-    Returns ``(done_time, completion_events, emission_count)``.
+    already in consumer timeline form, decorated with the task's
+    latency and consumer side and this process's delivery order
+    ``porder``.  ``lead`` is the task's :class:`_Lead` when its
+    processes run in lock step (``None`` otherwise): the first process
+    through records its rendezvous points in it, each later one stops
+    at the first point it shares and takes the rest of its run from
+    there (:func:`_inherit`).
+
+    Busy spans go to ``cpu``; nothing else is written.  Returns
+    ``(completion_events, emission_count, final)``, where ``final`` is
+    the finished process as :func:`write_back` writes it:
+    ``(start_time, done_time, out_total)`` and, for the left then the
+    right port, ``(pending, processed, eos_received, first_arrival)``.
     """
-    left = proc.left
-    right = proc.right
-    processor = proc.processor
-    busy = processor.busy_until
-    intervals = processor.intervals
+    busy = cpu.busy_until
+    intervals = cpu.intervals
     nemit = 0  # this process's own emissions so far: the next one's rank
 
     # This process's own, however much of its run it inherits: its
@@ -525,12 +601,19 @@ def _run_process(
     # fragments arrive at process start; streamed sides saw their first
     # positive batch at the precomputed task-wide time (a zero share
     # never registers an arrival, matching receive()).
-    proc.start_time = t_start
-    for port, first in ((left, first_pos[0]), (right, first_pos[1])):
-        if port.mode == "base":
-            port.first_arrival = t_start if port.local_total > 0 else None
-        else:
-            port.first_arrival = first if share > 0.0 else None
+    derived = task.derived
+    l_mode, l_coeff, l_exp, l_total = derived.left
+    r_mode, r_coeff, r_exp, r_total = derived.right
+    l_total = l_total * share
+    r_total = r_total * share
+    if l_mode == "base":
+        l_first = t_start if l_total > 0 else None
+    else:
+        l_first = first_pos[0] if share > 0.0 else None
+    if r_mode == "base":
+        r_first = t_start if r_total > 0 else None
+    else:
+        r_first = first_pos[1] if share > 0.0 else None
 
     # Rendezvous at start: nothing absorbed, nothing run — the whole
     # dynamic state is the start time.  Siblings a barrier releases
@@ -542,7 +625,7 @@ def _run_process(
         copies = 1
     else:
         points = lead.points
-        following = lead.proc is not None
+        following = lead.final is not None
         imark = len(intervals)
         # A leader's emission stands for every sibling until _share
         # counts the ones that actually met it.
@@ -551,44 +634,44 @@ def _run_process(
             if following:
                 at = points.get(t_start)
                 if at is not None:
-                    return _inherit(proc, lead, at, 0, porder, 0, 0.0, None)
+                    return _inherit(
+                        cpu, lead, at, 0, porder, 0, 0.0, None,
+                        (t_start, l_first, r_first),
+                    )
             else:
                 points[t_start] = (0, 0, 0)
 
-    simple = proc.algorithm == "simple"
-    if simple:
-        bflag = 1 if proc.build is right else 0
-    else:
-        bflag = 0
+    simple = task.simple
+    bflag = task.bflag
     # Map left/right onto build/probe scalars (pipelining: b=left, p=right).
-    b_port = right if bflag else left
-    p_port = left if bflag else right
-    config = proc.config
+    if bflag:
+        b_mode, b_coeff, b_exp, b_total = r_mode, r_coeff, r_exp, r_total
+        p_mode, p_coeff, p_exp, p_total = l_mode, l_coeff, l_exp, l_total
+    else:
+        b_mode, b_coeff, b_exp, b_total = l_mode, l_coeff, l_exp, l_total
+        p_mode, p_coeff, p_exp, p_total = r_mode, r_coeff, r_exp, r_total
+    config = task.config
     tu = config.tuple_unit
-    hs_unit = config.handshake
-    ws = proc.work_scale
-    rc = proc.result_coeff
+    latency = config.network_latency
+    side = task.side
+    ws = derived.work_scale
+    rc = derived.result_coeff
     batches = config.batches
-    name = proc.name
-    hs_label = name + HANDSHAKE_SUFFIX
-    pipe_out = proc.output is not None and proc.output_pipelined
-    has_close = proc.output is not None and not proc.output_pipelined
-    close_d = len(proc.output.ports) * hs_unit if has_close else 0.0
+    name = task.name
+    hs_label = task.hs_label
+    pipe_out = task.pipe_out
+    close_d = task.close_d
 
-    b_total = b_port.local_total
-    p_total = p_port.local_total
-    b_coeff = b_port.coefficient
-    p_coeff = p_port.coefficient
-    b_cap = b_port.chunk_cap(batches)
-    p_cap = p_port.chunk_cap(batches)
-    b_exp = b_port.expected_producers
-    p_exp = p_port.expected_producers
-    b_base = b_port.mode == "base"
-    p_base = p_port.mode == "base"
+    # A port's chunk cap: its fragment split into ``batches``.
+    b_cap = _INF if b_total <= 0 else max(b_total / batches, EPSILON)
+    p_cap = _INF if p_total <= 0 else max(p_total / batches, EPSILON)
+    b_base = b_mode == "base"
+    p_base = p_mode == "base"
     b_closed = b_base or b_exp <= 0
     p_closed = p_base or p_exp <= 0
+    result_local = derived.result_total * share
     if simple:
-        rl = proc.result_local
+        rl = result_local
         out_ok = p_total > 0
         density = 0.0
     else:
@@ -596,7 +679,7 @@ def _run_process(
         # product ``chunk * done * 0.0`` is exactly +0.0 — no guard
         # needed at the emission sites.
         if b_total > 0 and p_total > 0:
-            density = proc.result_local / (b_total * p_total)
+            density = result_local / (b_total * p_total)
         else:
             density = 0.0
         rl = 0.0
@@ -629,7 +712,7 @@ def _run_process(
     now = t_start
     b_pend = b_total if b_base and b_total > 0 else 0.0
     p_pend = p_total if p_base and p_total > 0 else 0.0
-    h = proc._startup_handshakes() * hs_unit
+    h = task.h
     cur_l: Optional[str] = None  # the open busy interval
     cur_s = cur_e = 0.0
     completing = h > 0.0
@@ -798,7 +881,8 @@ def _run_process(
                 at = points.get(key)
                 if at is not None:
                     return _inherit(
-                        proc, lead, at, nemit, porder, ncomp, cur_s, cur_l
+                        cpu, lead, at, nemit, porder, ncomp, cur_s, cur_l,
+                        (t_start, l_first, r_first),
                     )
             else:
                 points[key] = (nemit, len(intervals) - imark, ncomp)
@@ -826,21 +910,21 @@ def _run_process(
 
     if cur_l is not None:
         intervals.append((cur_s, cur_e, cur_l))
-    processor.busy_until = busy
+    cpu.busy_until = busy
 
-    b_port.pending = b_pend
-    b_port.processed = b_done
-    b_port.eos_received = b_eos
-    p_port.pending = p_pend
-    p_port.processed = p_done
-    p_port.eos_received = p_eos
-    _finish(proc, now, out_total)
+    if bflag:
+        final = (t_start, now, out_total, p_pend, p_done, p_eos, l_first,
+                 b_pend, b_done, b_eos, r_first)
+    else:
+        final = (t_start, now, out_total, b_pend, b_done, b_eos, l_first,
+                 p_pend, p_done, p_eos, r_first)
     if points is not None and not following:
-        lead.proc = proc
+        lead.final = final
+        lead.busy = busy
         lead.nemit = nemit
         lead.intervals = intervals[imark:]
         lead.ncomp = ncomp
-    return now, ncomp, nemit
+    return ncomp, nemit, final
 
 
 def _share(emissions: List[tuple], lead: _Lead) -> None:
@@ -935,67 +1019,62 @@ def _split_instants(
     return out
 
 
-def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
-    """The v1 analytic interpreter: simulate every task in ``order``,
-    mutating processor traces, ports, processes and runtimes in place.
-    Returns ``(finished_at, nevents, transferred)``; committing those
-    to the network/clock/sim is the caller's job (owned and hosted
-    callers commit differently, and the hosted caller may roll back)."""
-    config = sim.config
+def _compute(
+    tasks: List[_Task],
+    order: List[int],
+    cpus: Dict[int, _Cpu],
+    start_at: float,
+    config,
+) -> tuple:
+    """The analytic interpreter: simulate every task in ``order`` on
+    ``cpus``.  Returns ``(finished_at, nevents, transferred, rows,
+    finals)``: per task, in schedule order, ``(released, first_work,
+    completion)`` and its processes' :func:`_run_process` finals.
+    Nothing else is written — committing the run to the simulation is
+    the caller's job (owned and hosted callers commit differently, and
+    the hosted caller may discard the run)."""
     latency = config.network_latency
     startup = config.process_startup
-    start_at = sim.start_at
-    runtimes = sim.runtimes
-    pos_of = {rt.task.index: i for i, rt in enumerate(runtimes)}
 
     # Global init order: the scheduler claims processes serially, so
     # a process's sequence number is its task's offset plus its place.
     seq_before = []
     seq = 0
-    for rt in runtimes:
+    for task in tasks:
         seq_before.append(seq)
-        seq += len(rt.processes)
+        seq += len(task.derived.processors)
 
     nevents = 0
     released: List[Optional[float]] = []
-    for rt in runtimes:
-        if rt.remaining_deps == 0:
+    for task in tasks:
+        if task.start_after:
+            released.append(None)
+        else:
             released.append(start_at)
             nevents += 1  # the release event at query start
-        else:
-            released.append(None)
 
-    # Which input side of its (single) consumer each task feeds;
-    # producers decorate their emissions with it up front so the
-    # consumer's timeline needs no per-entry rewriting.
-    consumer_side = [0] * len(runtimes)
-    for rt in runtimes:
-        for sidx, spec in ((0, rt.task.left_input), (1, rt.task.right_input)):
-            if not spec.is_base:
-                consumer_side[pos_of[spec.source]] = sidx
-
-    emissions_of: List[List[tuple]] = [[] for _ in runtimes]
+    emissions_of: List[List[tuple]] = [[] for _ in tasks]
     # A leader's delivery order -> its followers (``_Lead.followers``).
     followers_of: Dict[int, List[Tuple[int, int, int]]] = {}
+    rows: List[Optional[tuple]] = [None] * len(tasks)
+    finals: List[Optional[List[tuple]]] = [None] * len(tasks)
     transferred = 0.0
     finished_at = 0.0
 
     for ti in order:
-        rt = runtimes[ti]
+        task = tasks[ti]
         rel = released[ti]
         if rel is None:  # pragma: no cover - excluded by _topo_order
-            raise RuntimeError(f"turbo: task {rt.task.index} never released")
-        rt.released_at = rel
+            raise RuntimeError(f"turbo: task at {ti} never released")
 
         # The task-wide arrival timeline, in classic heap order.
-        lspec = rt.task.left_input
-        rspec = rt.task.right_input
-        if not lspec.is_base:
-            entries = emissions_of[pos_of[lspec.source]]
-            if not rspec.is_base:
-                entries = entries + emissions_of[pos_of[rspec.source]]
-        elif not rspec.is_base:
-            entries = emissions_of[pos_of[rspec.source]]
+        lsrc, rsrc = task.sources
+        if lsrc is not None:
+            entries = emissions_of[lsrc]
+            if rsrc is not None:
+                entries = entries + emissions_of[rsrc]
+        elif rsrc is not None:
+            entries = emissions_of[rsrc]
         else:
             entries = []
         if entries:
@@ -1015,11 +1094,12 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                         break
         first_pos = (fp0, fp1)
 
-        shares = rt.derived.shares
-        out_side = consumer_side[ti]
-        pipe_flag = rt.output_group is not None and rt.output_pipelined
+        shares = task.derived.shares
+        out_side = task.side
+        pipe_flag = task.pipe_out
         task_emissions: List[tuple] = []
-        procs = rt.processes
+        task_finals: List[tuple] = []
+        procs = task.derived.processors
         nprocs = len(procs)
 
         # Equal shares make the task's processes the same process,
@@ -1037,31 +1117,30 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
         # leader's, as it shares the leader's emissions.
         ends: List[Tuple[float, int, int]] = []
         porder = seq_before[ti]
-        for pi, proc in enumerate(procs):
+        for ident, share in zip(procs, shares):
             porder += 1
             init_t = start_at + porder * startup
             t_start = init_t if init_t >= rel else rel
-            done_t, ncomp, nemit = _run_process(
-                proc,
-                entries,
-                shares[pi],
+            ncomp, nemit, final = _run_process(
+                task,
+                cpus[ident],
+                share,
                 t_start,
+                entries,
                 task_emissions,
                 first_pos,
-                latency,
                 porder,
-                out_side,
                 lead,
             )
+            task_finals.append(final)
             nevents += 1 + ncomp  # init_ready + hs/chunk completions
             if lead is not None and len(lead.followers) > met:
                 met += 1
             else:
-                ends.append((done_t, porder, nemit))
+                ends.append((final[1], porder, nemit))
             if pipe_flag:
                 nevents += nemit + 1  # batch arrivals + EOS arrival
-                transferred += proc.out_total
-        rt.done_processes = nprocs
+                transferred += final[2]
         if pipe_flag:
             if lead is not None:
                 _share(task_emissions, lead)
@@ -1076,12 +1155,13 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                 ))
                 copies = 1
 
-        completion = max(p.done_time for p in rt.processes)
-        rt.completion = completion
+        completion = max(final[1] for final in task_finals)
+        rows[ti] = (rel, min(final[0] for final in task_finals), completion)
+        finals[ti] = task_finals
         if completion > finished_at:
             finished_at = completion
-        if rt.output_group is not None and not rt.output_pipelined:
-            total = ordered_sum(p.out_total for p in rt.processes)
+        if task.stored_out:
+            total = ordered_sum(final[2] for final in task_finals)
             task_emissions.append(
                 (
                     completion + latency,
@@ -1090,7 +1170,7 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
                     _STORE_RANK,
                     out_side,
                     total,
-                    len(rt.processes),
+                    nprocs,
                     1,
                 )
             )
@@ -1098,38 +1178,90 @@ def _compute(sim, order: List[int]) -> Tuple[float, int, float]:
             nevents += 1  # the stored-result arrival
         emissions_of[ti] = task_emissions
 
-        for dependent in rt.dependents:
-            dpos = pos_of[dependent.task.index]
+        for dpos in task.dependents:
             prev = released[dpos]
             if prev is None or completion > prev:
                 released[dpos] = completion
-        rt.remaining_deps = 0
 
-    return finished_at, nevents, transferred
+    return finished_at, nevents, transferred, rows, finals
+
+
+def write_back(sim, outcome: tuple) -> None:
+    """Commit a computed run to ``sim``'s objects, leaving them as the
+    classic loop leaves a finished run: processor traces and busy times
+    (and, hosted, the run's own spans), each task's times and counts,
+    and every process's lifecycle and ports.  ``outcome`` is
+    ``(rows, finals, cpus)`` from :func:`_compute` and the cpus it ran
+    on.  A hosted epoch commits only once its completion is known to
+    beat its barrier, so there is never anything to undo."""
+    rows, finals, cpus = outcome
+    processors = sim.processors
+    spans = sim._spans if sim._pool is not None else None
+    for ident, cpu in cpus.items():
+        processor = processors[ident]
+        processor.intervals += cpu.intervals
+        processor.busy_until = cpu.busy_until
+        if spans is not None:
+            spans[ident] += cpu.intervals
+    for rt, (released, _first_work, completion), task_finals in zip(
+        sim.runtimes, rows, finals
+    ):
+        rt.released_at = released
+        rt.completion = completion
+        rt.done_processes = len(rt.processes)
+        rt.remaining_deps = 0
+        for proc, final in zip(rt.processes, task_finals):
+            _finish(proc, final)
+
+
+def _finish(proc, final: tuple) -> None:
+    """Leave ``proc`` and its ports as the classic loop leaves a
+    finished process, from its :func:`_run_process` final."""
+    left = proc.left
+    right = proc.right
+    (
+        proc.start_time, proc.done_time, proc.out_total,
+        left.pending, left.processed, left.eos_received, left.first_arrival,
+        right.pending, right.processed, right.eos_received, right.first_arrival,
+    ) = final
+    proc.ready = proc.released = proc.started = True
+    proc.closing = proc.done = True
+    proc.cpu_busy = False
 
 
 def execute(sim) -> bool:
     """Analytically simulate an *owned* ``sim`` if eligible.  Returns
     ``True`` on success (the simulation is complete, results identical
     to the event loop's); ``False`` declines without touching any
-    state."""
-    order = _eligible(sim)
-    if order is None:
+    state.
+
+    A simulation whose objects do not exist yet keeps the outcome
+    (``sim._outcome``) for :meth:`~repro.sim.run.ScheduleSimulation.result`,
+    and for :func:`write_back` should anything build them later; one
+    whose objects exist gets it written back now."""
+    plan = _eligible(sim)
+    if plan is None:
         return False
+    tasks, order, cpus = plan
     try:
-        finished_at, nevents, transferred = _compute(sim, order)
+        finished_at, nevents, transferred, rows, finals = _compute(
+            tasks, order, cpus, sim.start_at, sim.config
+        )
     except _SameInstantTie:
         _STATS["tie_declines"] += 1
-        # Fresh processors: every trace starts empty and idle.
-        _rollback(sim, [(p, 0, 0.0) for p in sim.processors.values()])
         return False
+    outcome = (rows, finals, cpus)
+    if sim._built:
+        write_back(sim, outcome)
+    else:
+        sim._outcome = outcome
     sim.network.transferred += transferred
-    sim._completed_tasks = len(sim.runtimes)
+    sim._completed_tasks = len(tasks)
     sim.finished_at = finished_at
     clock = sim.clock
     clock.now = finished_at
     clock.events_dispatched += nevents
-    # The build-time init/release events were simulated analytically,
+    # A built graph's init/release events were simulated analytically,
     # never popped; drop them so pending() reflects reality.
     clock._queue.clear()
     return True
@@ -1194,38 +1326,6 @@ def remember(key: tuple, result: SimulationResult) -> None:
 # -- hosted epochs ------------------------------------------------------
 
 
-def _rollback(sim, marks: List[Tuple[object, int, float]]) -> None:
-    """Undo every mutation :func:`_compute` applied to a freshly built
-    hosted simulation: truncate processor traces, restore busy times,
-    and reset runtimes/processes/ports to their as-built constants.
-    Valid only immediately after ``_build`` — the reset values are the
-    constructor's, which is exactly the state the classic loop expects
-    to start from."""
-    for processor, mark, busy in marks:
-        del processor.intervals[mark:]
-        processor.busy_until = busy
-    for rt in sim.runtimes:
-        rt.released_at = 0.0
-        rt.completion = None
-        rt.done_processes = 0
-        rt.remaining_deps = len(rt.task.start_after)
-        for proc in rt.processes:
-            proc.ready = False
-            proc.released = False
-            proc.started = False
-            proc.cpu_busy = False
-            proc.closing = False
-            proc.done = False
-            proc.start_time = None
-            proc.done_time = None
-            proc.out_total = 0.0
-            for port in (proc.left, proc.right):
-                port.pending = 0.0
-                port.processed = 0.0
-                port.eos_received = 0
-                port.first_arrival = None
-
-
 def execute_hosted(sim, barrier: float) -> Optional[float]:
     """Analytically execute a *hosted* simulation none of whose events
     has run yet as one epoch: from its start to its completion in a
@@ -1259,38 +1359,35 @@ def execute_hosted(sim, barrier: float) -> Optional[float]:
     admitted before it at that instant, or any query was admitted onto
     processors still busy, on any engine of the clock).
     Otherwise — or when the run meets a same-instant tie it cannot
-    order — every mutation is rolled back and ``None`` is returned: the
-    classic event loop takes over with the build events still armed.
+    order — ``None`` is returned, nothing having been written (the run
+    is computed on private traces, :func:`_compute`): the classic event
+    loop takes over with the build events still armed.
 
     ``clock.events_dispatched`` is deliberately left untouched: the
     classic loop only folds its dispatch count in when ``run()``
     returns, so mid-drain observers (``result()`` included) see the
     pre-drain value on both paths.
     """
-    order = _eligible_hosted(sim)
-    if order is None:
+    plan = _eligible_hosted(sim)
+    if plan is None:
         return None
-    marks = [
-        (processor, len(processor.intervals), processor.busy_until)
-        for processor in sim.processors.values()
-    ]
+    tasks, order, cpus = plan
     _STATS["hosted_runs"] += 1
     try:
-        finished_at, _nevents, transferred = _compute(sim, order)
+        finished_at, _nevents, transferred, rows, finals = _compute(
+            tasks, order, cpus, sim.start_at, sim.config
+        )
     except _SameInstantTie:
         _STATS["tie_declines"] += 1
-        _rollback(sim, marks)
         return None
     if finished_at >= barrier:
         _STATS["hosted_rollbacks"] += 1
-        _rollback(sim, marks)
         return None
     # The processors are this query's alone until its completion
-    # releases them: everything past each mark is this epoch's.
-    for ident, (processor, mark, _busy) in zip(sim.processors, marks):
-        sim._spans[ident].extend(processor.intervals[mark:])
+    # releases them.
+    write_back(sim, (rows, finals, cpus))
     sim.network.transferred += transferred
-    sim._completed_tasks = len(sim.runtimes)
+    sim._completed_tasks = len(tasks)
     sim.finished_at = finished_at
     for handle in sim._build_handles:
         handle.cancel()

@@ -2,12 +2,14 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from repro.api import run
 from repro.service import QueryService, serve
-from repro.service.frontend import MAX_QUERY_PROCESSORS
+from repro.service import frontend
+from repro.service.frontend import MAX_LINE_CHARS, MAX_QUERY_PROCESSORS
 
 SERVICE = QueryService()
 
@@ -203,6 +205,39 @@ class TestServe:
         serve(io.StringIO('{"op": "nope"}\n'), out)
         line = out.getvalue().strip()
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+    def test_an_oversized_line_is_refused_without_being_read_whole(self):
+        """A 5 MB line gets one ``ok: false`` naming the limit, the line
+        after it is answered, and memory never holds the long line."""
+        length = 5 * 1024 * 1024
+        raw = b"x" * length + b"\n" + json.dumps({"stats": True}).encode() + b"\n"
+        stream = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii")
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            served = serve(stream, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        refused, stats = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert served == 2
+        assert refused == {
+            "ok": False,
+            "error": f"request line longer than {MAX_LINE_CHARS} characters",
+        }
+        assert stats["ok"] and stats["op"] == "stats"
+        assert peak < length / 4
+
+    def test_the_limit_holds_for_streams_and_for_lists_of_lines(self, monkeypatch):
+        monkeypatch.setattr(frontend, "MAX_LINE_CHARS", 16)
+        monkeypatch.setattr(frontend, "_READ_CHARS", 5)
+        ok = '{"stats": true}'.ljust(16)
+        lines = [ok, ok + " ", ok, "x" * 40]
+        for source in (io.StringIO("\n".join(lines)), [l + "\n" for l in lines]):
+            out = io.StringIO()
+            assert serve(source, out) == 4
+            answers = [json.loads(l)["ok"] for l in out.getvalue().splitlines()]
+            assert answers == [True, False, True, False]
 
 
 class TestLifecycle:

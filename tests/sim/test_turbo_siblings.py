@@ -8,7 +8,9 @@ The oracle here takes nothing of that on trust: inside a real
 leader record, exactly as before the mechanism existed, and once with
 it — and requires both to leave the same emissions, processor
 intervals, port finals, process finals and completion count, ``==`` on
-every float.  A spliced follower writes no emissions for the tail it
+every float.  The finals are read off the simulation's own process and
+ports, as turbo's write-back leaves them (the graph is built before the
+run, so the run is written back into it).  A spliced follower writes no emissions for the tail it
 shares (the leader's count as its copies in the consumer's timeline),
 so its emissions are compared as its own plus that tail in its own
 delivery order and ranks.
@@ -47,14 +49,22 @@ def build(shape, strategy, processors, cardinality=5000, skew=0.0, config=None):
     )
 
 
-def observed(proc, mark, emitted, returned):
-    """Everything one ``_run_process`` call leaves behind."""
-    processor = proc.processor
+def built(sim, tally):
+    """``sim`` with its process graph built; ``tally["processes"]`` lists
+    its processes by delivery order (the scheduler's init order)."""
+    tally["processes"] = [p for rt in sim.runtimes for p in rt.processes]
+    return sim
+
+
+def observed(cpu, mark, emitted, returned, proc):
+    """Everything one ``_run_process`` call leaves behind, its final
+    written back into ``proc``."""
+    turbo._finish(proc, returned[2])
     return {
         "returned": returned,
         "emissions": emitted,
-        "intervals": processor.intervals[mark:],
-        "busy_until": processor.busy_until,
+        "intervals": cpu.intervals[mark:],
+        "busy_until": cpu.busy_until,
         "ports": [
             (port.pending, port.processed, port.eos_received, port.first_arrival)
             for port in (proc.left, proc.right)
@@ -87,27 +97,32 @@ def checking(run_process, tally, doctor=None):
     real; the two must agree on everything.  ``doctor`` rewrites the
     leader's record before a follower sees it."""
 
-    def checked(proc, entries, share, t_start, emissions, *decoration):
-        *decoration, lead = decoration
-        if lead is None or lead.proc is None:
-            return run_process(proc, entries, share, t_start, emissions, *decoration, lead)
+    def checked(task, cpu, share, t_start, entries, emissions, first_pos, porder, lead):
+        if lead is None or lead.final is None:
+            return run_process(
+                task, cpu, share, t_start, entries, emissions, first_pos, porder, lead
+            )
         if doctor is not None:
             lead = doctor(lead)
-        processor = proc.processor
-        mark, busy = len(processor.intervals), processor.busy_until
+        proc = tally["processes"][porder - 1]
+        mark, busy = len(cpu.intervals), cpu.busy_until
         before = len(emissions)
         alone = list(emissions)
-        returned = run_process(proc, entries, share, t_start, alone, *decoration, None)
-        expected = observed(proc, mark, alone[before:], returned)
-        del processor.intervals[mark:]
-        processor.busy_until = busy
+        returned = run_process(
+            task, cpu, share, t_start, entries, alone, first_pos, porder, None
+        )
+        expected = observed(cpu, mark, alone[before:], returned, proc)
+        del cpu.intervals[mark:]
+        cpu.busy_until = busy
         met = len(lead.followers)
-        returned = run_process(proc, entries, share, t_start, emissions, *decoration, lead)
+        returned = run_process(
+            task, cpu, share, t_start, entries, emissions, first_pos, porder, lead
+        )
         emitted = emissions[before:]
         if len(lead.followers) > met:
             emitted += shared_tail(lead, emissions)
-        if observed(proc, mark, emitted, returned) != expected:
-            raise Diverged(f"{proc.name} on processor {processor.ident}, t_start={t_start}")
+        if observed(cpu, mark, emitted, returned, proc) != expected:
+            raise Diverged(f"{proc.name} on processor {proc.processor.ident}, t_start={t_start}")
         tally["followers"] += 1
         return returned
 
@@ -126,7 +141,7 @@ def oracle(monkeypatch):
 @pytest.mark.parametrize("strategy", ("RD", "FP"))
 @pytest.mark.parametrize("shape", SHAPES)
 def test_every_sibling_matches_its_own_full_run(oracle, shape, strategy, processors):
-    sim = build(shape, strategy, processors)
+    sim = built(build(shape, strategy, processors), oracle)
     assert turbo.execute(sim)
     stats = turbo.cache_stats()
     assert oracle["followers"] == stats["sibling_runs"] > 0
@@ -222,7 +237,7 @@ def off_in(field, state=IDLE_STATE):
             return lead
         at = state.index(field)
         doctored = turbo._Lead(lead.width)
-        doctored.proc, doctored.ncomp = lead.proc, lead.ncomp
+        doctored.final, doctored.busy, doctored.ncomp = lead.final, lead.busy, lead.ncomp
         doctored.nemit, doctored.intervals = lead.nemit, lead.intervals
         doctored.followers = lead.followers
         for key, value in lead.points.items():
@@ -242,7 +257,7 @@ def run_checked(monkeypatch, module, case, doctor=None):
     monkeypatch.setattr(turbo, "_run_process", checking(run_process, tally, doctor))
     module.clear_cache()
     turbo.clear_cache()
-    assert turbo.execute(build(**case))
+    assert turbo.execute(built(build(**case), tally))
     assert tally["followers"] > 0
     return module.cache_stats()["sibling_splices"]
 

@@ -188,8 +188,8 @@ def hosted_fp(finished):
 
 
 def as_built(sim):
-    """Every piece of state ``_compute`` writes and ``_rollback`` must
-    restore, plus what ``execute_hosted`` commits."""
+    """Every piece of state turbo's ``write_back`` commits for an epoch,
+    which a discarded epoch must leave as built."""
     return {
         "processors": [
             (ident, list(processor.intervals), processor.busy_until)
