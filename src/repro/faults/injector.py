@@ -116,17 +116,7 @@ class FaultInjector:
         # Reading the processors builds an owned run's process graph, so
         # its events go on the clock ahead of the crashes below.
         processors = sim.processors
-        for stall in self.schedule.stalls:
-            processor = processors.get(stall.processor)
-            if processor is not None:
-                processor.stalls.append(
-                    (stall.start, stall.end, stall.factor)
-                )
-        if self.schedule.link_faults:
-            self.link_state = LinkFaultState(
-                self.schedule.link_faults, self.schedule.seed
-            )
-            sim.network.faults = self.link_state
+        self._arm_stalls_and_links(processors, sim.network)
         for crash in self.schedule.crashes:
             if crash.processor in processors:
                 sim.clock.at(crash.at, self._crash_simulation, sim, crash)
@@ -137,17 +127,7 @@ class FaultInjector:
         if self.schedule.is_empty:
             return
         machine = engine.machine
-        for stall in self.schedule.stalls:
-            processor = machine.processors.get(stall.processor)
-            if processor is not None:
-                processor.stalls.append(
-                    (stall.start, stall.end, stall.factor)
-                )
-        if self.schedule.link_faults:
-            self.link_state = LinkFaultState(
-                self.schedule.link_faults, self.schedule.seed
-            )
-            machine.network.faults = self.link_state
+        self._arm_stalls_and_links(machine.processors, machine.network)
         for crash in self.schedule.crashes:
             if crash.processor not in machine.processors:
                 continue
@@ -156,6 +136,22 @@ class FaultInjector:
                 machine.clock.at(
                     crash.repair_at, self._repair_engine, engine, crash
                 )
+
+    def _arm_stalls_and_links(self, processors, network) -> None:
+        """Put each stall window on its processor in ``processors`` (a
+        processor outside them is not this run's) and, if the schedule
+        has link windows, a :class:`LinkFaultState` on ``network``."""
+        for stall in self.schedule.stalls:
+            processor = processors.get(stall.processor)
+            if processor is not None:
+                processor.stalls.append(
+                    (stall.start, stall.end, stall.factor)
+                )
+        if self.schedule.link_faults:
+            self.link_state = LinkFaultState(
+                self.schedule.link_faults, self.schedule.seed
+            )
+            network.faults = self.link_state
 
     # -- event handlers ---------------------------------------------------
 

@@ -13,7 +13,7 @@ writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .schedule import FaultSchedule
@@ -69,23 +69,7 @@ class ResiliencePoint:
 
     def row(self) -> Dict:
         """Deterministic JSONL row."""
-        return {
-            "strategy": self.strategy,
-            "crash_rate": self.crash_rate,
-            "recovery": self.recovery,
-            "offered": self.offered,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "goodput": self.goodput,
-            "retries": self.retries,
-            "wasted_seconds": self.wasted_seconds,
-            "wasted_fraction": self.wasted_fraction,
-            "mttr": self.mttr,
-            "mean_latency": self.mean_latency,
-            "p95_latency": self.p95_latency,
-            "faults_injected": self.faults_injected,
-        }
+        return asdict(self)
 
 
 def fault_rate_sweep(

@@ -15,6 +15,7 @@ wires it into a simulation or workload engine.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
@@ -133,8 +134,21 @@ class FaultSchedule:
         """
         if machine_size < 1:
             raise ValueError("machine must have at least one processor")
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # An infinite rate draws zero gaps and an infinite horizon is
+        # never reached, so either would keep the draw loop running
+        # until memory runs out; NaN fails every comparison, so a
+        # plain ``<= 0`` test would let it through.
+        if not (math.isfinite(horizon) and horizon > 0):
+            raise ValueError(f"horizon must be finite and positive, got {horizon}")
+        for name, rate in (
+            ("crash_rate", crash_rate),
+            ("stall_rate", stall_rate),
+            ("link_rate", link_rate),
+        ):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {rate}"
+                )
         # Integer-derived sub-seeds: string seeds would go through
         # per-process randomized hashing and break replayability.
         crash_rng = random.Random(seed * 4 + 0)

@@ -23,11 +23,13 @@ from ..options import OPTIONS, QWC, WC, Option
 #: Backends a service request may ask for.
 SERVICE_BACKENDS = ("sim", "ideal")
 
-#: The most processors one ``query`` op may ask for (12.8x the paper's
-#: 80).  An FP plan opens producers x consumers streams, so a query's
-#: cost grows faster than quadratically in its machine size, and one
-#: line must not hold the stream for minutes or exhaust memory.
-#: :func:`repro.api.run` itself keeps no limit.
+#: The most processors one request may provision (12.8x the paper's
+#: 80): a ``query`` op's ``processors``, a ``workload`` op's
+#: ``machine_size``, a ``cluster`` op's shards times the processors
+#: each may hold.  An FP plan opens producers x consumers streams, so a
+#: query's cost grows faster than quadratically in its machine size,
+#: and one line must not hold the stream for minutes or exhaust memory.
+#: The facade (:mod:`repro.api`) itself keeps no limit.
 MAX_QUERY_PROCESSORS = 1024
 
 #: The longest request line :func:`serve` reads, in characters (1 MiB
@@ -171,6 +173,7 @@ class QueryService:
     def _workload(self, request: Dict) -> Dict:
         from ..api import run_workload
 
+        _check_provisioned("workload", request)
         options = _facade_options("workload", request)
         result = run_workload(request.get("shape", "wide_bushy"), **options)
         response = {
@@ -234,6 +237,7 @@ class QueryService:
     def _cluster(self, request: Dict) -> Dict:
         from ..api import run_cluster
 
+        _check_provisioned("cluster", request)
         options = _facade_options("cluster", request)
         result = run_cluster(request.get("shape", "wide_bushy"), **options)
         response = {
@@ -329,6 +333,26 @@ def _trace(payload):
 
 def _cancellations(pairs):
     return [(float(when), int(index)) for when, index in pairs]
+
+
+def _check_provisioned(op: str, request: Dict) -> None:
+    """Refuse a workload or cluster request that provisions more than
+    :data:`MAX_QUERY_PROCESSORS`: its ``machine_size``, for a cluster
+    times ``shards``, and an elastic cluster's shards at their ceiling
+    (``scale_max``, by default twice ``machine_size``)."""
+    rows = _ROWS[op]
+    size = request.get("machine_size", rows["machine_size"].default)
+    total = size
+    if op == "cluster":
+        if request.get("autoscale") not in (None, "static"):
+            scale_max = request.get("scale_max")
+            size = max(size, 2 * size if scale_max is None else scale_max)
+        total = size * request.get("shards", rows["shards"].default)
+    if total > MAX_QUERY_PROCESSORS:
+        raise ValueError(
+            f"{op} request provisions {total} processors, over the "
+            f"service limit of {MAX_QUERY_PROCESSORS} per request"
+        )
 
 
 def _facade_options(op: str, request: Dict) -> Dict:

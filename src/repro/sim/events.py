@@ -6,12 +6,11 @@ schedule order so runs are exactly reproducible.  Everything in the
 machine simulation — scheduler initialization, batch deliveries, CPU
 chunk completions — is an event here.
 
-:meth:`SimulationClock.run` has one horizon-free dispatch loop, shared
-by every caller that matters (owned runs that fall off the analytic
-path, the workload engine, the coordinated cluster), and a second one
-for ``until=`` that only tests use.  Per event the horizon-free loop
-pops, skips a tombstone, stores ``now``, calls the callback and bumps
-a local counter; two optional facilities ride on it without
+:meth:`SimulationClock.run` is the one dispatch loop, shared by every
+caller (owned runs that fall off the analytic path, the workload
+engine, the coordinated cluster); it runs until the queue drains.  Per
+event it pops, skips a tombstone, stores ``now``, calls the callback
+and bumps a local counter; two optional facilities ride on it without
 perturbing runs that do not use them:
 
 * :meth:`SimulationClock.at_cancellable` returns an
@@ -21,7 +20,7 @@ perturbing runs that do not use them:
   leaves no trace at all (bit-for-bit identity with a deadline-free
   run).  Cancelling is also what compacts: once tombstones outnumber
   live entries the heap is rebuilt, in place, from inside
-  :meth:`EventHandle.cancel` — the loops carry no per-event check.
+  :meth:`EventHandle.cancel` — the loop carries no per-event check.
 * :attr:`SimulationClock.watchdog` (see :mod:`repro.sim.watchdog`)
   aborts no-advance livelocks with a diagnostic instead of spinning
   until the ``max_events`` guard.  Armed, it costs the loop a
@@ -109,17 +108,15 @@ class SimulationClock:
             raise ValueError(f"negative delay: {delay}")
         self.at(self.now + delay, fn, *args)
 
-    def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
-        """Dispatch events until the queue drains (or ``until``/limit).
+    def run(self, max_events: int = 50_000_000) -> float:
+        """Dispatch events until the queue drains.
 
         Returns the final clock value.  ``max_events`` is a runaway
         guard: a correct simulation of this model always terminates.
         """
-        if until is not None:
-            return self._run_until(until, max_events)
         # All loop state in locals, the watchdog's included: its
-        # same-instant counter is Watchdog.observe inlined, loaded here
-        # and stored back on every way out.
+        # same-instant counter is loaded here and stored back on every
+        # way out.
         queue = self._queue
         pop = heapq.heappop
         watchdog = self.watchdog
@@ -160,33 +157,6 @@ class SimulationClock:
                 watchdog._instant = instant
                 watchdog._count_at_instant = burst
         self.events_dispatched += dispatched
-        return self.now
-
-    def _run_until(self, until: float, max_events: int) -> float:
-        """:meth:`run` with a horizon: stop before the first event past
-        ``until`` and advance the clock to it."""
-        queue = self._queue
-        watchdog = self.watchdog
-        dispatched = 0
-        while queue and queue[0][0] <= until:
-            time, _seq, handle, fn, args = heapq.heappop(queue)
-            if handle is not None and handle.cancelled:
-                self._dead -= 1
-                continue
-            self.now = time
-            if watchdog is not None:
-                watchdog.observe(time, fn, args)
-            fn(*args)
-            dispatched += 1
-            if dispatched > max_events:
-                raise RuntimeError(
-                    f"simulation exceeded {max_events} events; "
-                    "likely a wiring bug (cyclic deliveries)"
-                )
-        self.events_dispatched += dispatched
-        if self.now < until:
-            # Advance to the horizon; any remaining events lie beyond it.
-            self.now = until
         return self.now
 
     def compact(self) -> int:

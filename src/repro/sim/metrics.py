@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .machine import HANDSHAKE_SUFFIX, MachineConfig
 
@@ -41,6 +41,47 @@ class SimulationResult:
     events: int
     #: Total result tuples of the root join (fluid count).
     result_tuples: float
+
+    @classmethod
+    def build(
+        cls,
+        schedule,
+        config: MachineConfig,
+        start_at: float,
+        rows: Sequence[Tuple[float, Optional[float], Optional[float]]],
+        intervals: Dict[int, List[Tuple[float, float, str]]],
+        events: int,
+        result_tuples: float,
+        operation_processes: int,
+    ) -> "SimulationResult":
+        """The result of one run of ``schedule`` (a
+        :class:`~repro.core.schedule.ParallelSchedule`) that started at
+        ``start_at``: ``rows`` holds each task's ``(released,
+        first_work, completion)`` in schedule order.  The only place a
+        result is made — for a run the event loop finished, one turbo
+        computed, and a profile-cache hit replaying one of those."""
+        tasks = schedule.tasks
+        unfinished = [task.index for task, row in zip(tasks, rows) if row[2] is None]
+        if unfinished:
+            raise RuntimeError(
+                f"simulation drained its event queue with tasks {unfinished} "
+                "incomplete; schedule wiring bug"
+            )
+        return cls(
+            strategy=schedule.strategy,
+            processors=schedule.processors,
+            response_time=max(row[2] for row in rows) - start_at,
+            config=config,
+            task_timings=[
+                TaskTiming(task.index, task.join.label or str(task.index), *row)
+                for task, row in zip(tasks, rows)
+            ],
+            intervals=intervals,
+            operation_processes=operation_processes,
+            stream_count=schedule.stream_count(),
+            events=events,
+            result_tuples=result_tuples,
+        )
 
     @cached_property
     def _busy(self) -> Tuple[float, float, float]:

@@ -42,7 +42,7 @@ from ..core.schedule import JoinTask, ParallelSchedule
 from . import turbo
 from .events import SimulationClock
 from .machine import MachineConfig, NetworkLink, Processor
-from .metrics import SimulationResult, TaskTiming
+from .metrics import SimulationResult
 from .process import (
     OperationProcess,
     PipeliningHashJoinProcess,
@@ -662,39 +662,19 @@ class ScheduleSimulation:
         else:
             rows, finals, _cpus = outcome
             root = [final[2] for final in finals[-1]]
-        tasks = self.schedule.tasks
-        unfinished = [task.index for task, row in zip(tasks, rows) if row[2] is None]
-        if unfinished:
-            raise RuntimeError(
-                f"simulation drained its event queue with tasks {unfinished} "
-                "incomplete; schedule wiring bug"
-            )
-        response = max(row[2] for row in rows) - self.start_at
-        timings = [
-            TaskTiming(
-                index=task.index,
-                label=task.join.label or str(task.index),
-                released=released,
-                first_work=first_work,
-                completion=completion,
-            )
-            for task, (released, first_work, completion) in zip(tasks, rows)
-        ]
-        return SimulationResult(
-            strategy=self.schedule.strategy,
-            processors=self.schedule.processors,
-            response_time=response,
-            config=self.config,
-            task_timings=timings,
-            intervals=self.own_intervals(),
-            operation_processes=sum(
+        return SimulationResult.build(
+            self.schedule,
+            self.config,
+            self.start_at,
+            rows,
+            self.own_intervals(),
+            self.clock.events_dispatched,
+            ordered_sum(root),
+            sum(
                 len(spec.processors)
                 for spec in self.derived
                 if spec.index not in self.skip_tasks
             ),
-            stream_count=self.schedule.stream_count(),
-            events=self.clock.events_dispatched,
-            result_tuples=ordered_sum(root),
         )
 
     def own_intervals(self) -> Dict[int, List[Tuple[float, float, str]]]:

@@ -26,13 +26,14 @@ Turbo reads no process or port.  :func:`_tasks` makes one flat record
 per task from its :class:`~repro.sim.run.TaskDerivation` — the task's
 constants; a process is that record plus its processor and share — and
 :func:`_compute` interprets them on private processor traces
-(:class:`_Cpu`), returning the outcome and writing nothing.  The
-caller commits it.  An owned simulation whose process graph was never
-built keeps the outcome for its result, so an eligible owned run makes
-no process, port or heap event at all; a simulation whose objects
-exist — a hosted one always, an owned one something built — gets the
-outcome written into them (:func:`write_back`), leaving them as the
-classic loop leaves a finished run.
+(:class:`_Cpu`), returning the outcome and writing nothing.  Both
+entries commit it through one step, :func:`_compute_and_commit`.  An
+owned simulation whose process graph was never built keeps the outcome
+for its result, so an eligible owned run makes no process, port or
+heap event at all; a simulation whose objects exist — a hosted one
+always, an owned one something built — gets the outcome written into
+them (:func:`write_back`), leaving them as the classic loop leaves a
+finished run.
 
 Correctness notes (why this reproduces the event loop exactly):
 
@@ -128,14 +129,15 @@ Turbo v2 adds two layers on top of the v1 interpreter:
   :func:`repro.sim.run.simulate`, the one owned entry point, keys a
   bounded cache on them *before* building anything: a hit
   (:func:`replay`) returns the finished result without building a
-  process, a port or a clock.  An entry holds only what the result
-  shows — response time, per-task times, per-processor spans, event
-  and result counts, and the busy totals walked once when
-  :func:`remember` stores a run turbo computed; strategy, labels and
-  stream count come from the caller's schedule.  Equal key ⇒ equal
-  build ⇒ equal floats, so a hit is bit-identical — this is what
-  closes the FP gap, whose trickle interleaving dominates interpreter
-  time.  Everything eligibility reads is in the key, so a stored key
+  process, a port or a clock.  An entry holds the inputs
+  :meth:`~repro.sim.metrics.SimulationResult.build` made the computed
+  run's result from — per-task times, per-processor spans, event,
+  result and process counts — plus the busy totals walked once when
+  :func:`remember` stores it; a hit goes through that same builder,
+  with strategy, labels and stream count from the caller's schedule.
+  Equal key ⇒ equal build ⇒ equal floats, so a hit is bit-identical —
+  this is what closes the FP gap, whose trickle interleaving dominates
+  interpreter time.  Everything eligibility reads is in the key, so a stored key
   implies eligibility; :func:`execute` always computes.  The cache
   lives in this process only, so a changed chunk policy (a code
   change) always starts from an empty one; code that alters the
@@ -171,7 +173,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.numeric import ordered_sum
 from .machine import HANDSHAKE_SUFFIX
-from .metrics import SimulationResult, TaskTiming
+from .metrics import SimulationResult
 from .streams import EPSILON
 
 __all__ = [
@@ -1030,9 +1032,8 @@ def _compute(
     ``cpus``.  Returns ``(finished_at, nevents, transferred, rows,
     finals)``: per task, in schedule order, ``(released, first_work,
     completion)`` and its processes' :func:`_run_process` finals.
-    Nothing else is written — committing the run to the simulation is
-    the caller's job (owned and hosted callers commit differently, and
-    the hosted caller may discard the run)."""
+    Nothing else is written — :func:`_compute_and_commit` commits the
+    run to the simulation, or discards it."""
     latency = config.network_latency
     startup = config.process_startup
 
@@ -1229,19 +1230,16 @@ def _finish(proc, final: tuple) -> None:
     proc.cpu_busy = False
 
 
-def execute(sim) -> bool:
-    """Analytically simulate an *owned* ``sim`` if eligible.  Returns
-    ``True`` on success (the simulation is complete, results identical
-    to the event loop's); ``False`` declines without touching any
-    state.
-
-    A simulation whose objects do not exist yet keeps the outcome
-    (``sim._outcome``) for :meth:`~repro.sim.run.ScheduleSimulation.result`,
-    and for :func:`write_back` should anything build them later; one
-    whose objects exist gets it written back now."""
-    plan = _eligible(sim)
-    if plan is None:
-        return False
+def _compute_and_commit(sim, plan: tuple, barrier: float) -> Optional[int]:
+    """Compute ``sim``'s run on ``plan``'s private traces
+    (:func:`_compute`) and commit it, unless the run meets a
+    same-instant tie (``tie_declines``) or would not finish strictly
+    before ``barrier`` (``hosted_rollbacks``): a declined run writes
+    nothing.  Committing writes the outcome into ``sim``'s objects
+    (:func:`write_back`) if they exist, else keeps it as
+    ``sim._outcome``, and sets the network's transfer total, the
+    completed-task count and ``finished_at``.  Returns the run's logical
+    event count, or ``None`` if declined."""
     tasks, order, cpus = plan
     try:
         finished_at, nevents, transferred, rows, finals = _compute(
@@ -1249,7 +1247,10 @@ def execute(sim) -> bool:
         )
     except _SameInstantTie:
         _STATS["tie_declines"] += 1
-        return False
+        return None
+    if finished_at >= barrier:
+        _STATS["hosted_rollbacks"] += 1
+        return None
     outcome = (rows, finals, cpus)
     if sim._built:
         write_back(sim, outcome)
@@ -1258,8 +1259,23 @@ def execute(sim) -> bool:
     sim.network.transferred += transferred
     sim._completed_tasks = len(tasks)
     sim.finished_at = finished_at
+    return nevents
+
+
+def execute(sim) -> bool:
+    """Analytically simulate an *owned* ``sim`` if eligible.  Returns
+    ``True`` on success (the simulation is complete, results identical
+    to the event loop's); ``False`` declines without touching any
+    state.  The outcome is committed as :func:`_compute_and_commit`
+    says, for :meth:`~repro.sim.run.ScheduleSimulation.result`."""
+    plan = _eligible(sim)
+    if plan is None:
+        return False
+    nevents = _compute_and_commit(sim, plan, _INF)
+    if nevents is None:
+        return False
     clock = sim.clock
-    clock.now = finished_at
+    clock.now = sim.finished_at
     clock.events_dispatched += nevents
     # A built graph's init/release events were simulated analytically,
     # never popped; drop them so pending() reflects reality.
@@ -1275,28 +1291,20 @@ def replay(key: tuple, schedule, config) -> Optional[SimulationResult]:
     :func:`remember` was given, or ``None`` — counted as a hit or a
     miss.  The key says how the run went; the schedule and the config
     say what the caller asked for (strategy, labels, stream count), so
-    the result is as the caller's own run would report it.  The lists
-    handed out are fresh: a caller may mutate them."""
+    :meth:`SimulationResult.build`, which built the remembered run's
+    result, builds the caller's from the stored inputs (an owned run
+    starts at 0.0).  The lists handed out are fresh: a caller may
+    mutate them."""
     entry = _PROFILE_CACHE.get(key)
     if entry is None:
         _STATS["profile_misses"] += 1
         return None
     _STATS["profile_hits"] += 1
-    response_time, timings, spans, events, result_tuples, busy = entry
-    result = SimulationResult(
-        strategy=schedule.strategy,
-        processors=schedule.processors,
-        response_time=response_time,
-        config=config,
-        task_timings=[
-            TaskTiming(task.index, task.join.label or str(task.index), *timing)
-            for task, timing in zip(schedule.tasks, timings)
-        ],
-        intervals={ident: list(own) for ident, own in spans},
-        operation_processes=sum(task.parallelism for task in schedule.tasks),
-        stream_count=schedule.stream_count(),
-        events=events,
-        result_tuples=result_tuples,
+    rows, spans, events, result_tuples, processes, busy = entry
+    result = SimulationResult.build(
+        schedule, config, 0.0, rows,
+        {ident: list(own) for ident, own in spans},
+        events, result_tuples, processes,
     )
     result._busy = busy  # the cached property, as the first walk left it
     return result
@@ -1304,14 +1312,14 @@ def replay(key: tuple, schedule, config) -> Optional[SimulationResult]:
 
 def remember(key: tuple, result: SimulationResult) -> None:
     """Keep what :func:`replay` needs of a result turbo computed: the
-    response time, per task its released / first-work / completion
-    times, per processor its spans, the event and result-tuple counts,
+    inputs :meth:`SimulationResult.build` made it from — per task its
+    released / first-work / completion times, per processor its spans,
+    the event and result-tuple counts and the operation-process count —
     and the busy totals, walked once here.  FIFO eviction at
     :data:`_PROFILE_CACHE_MAX` entries."""
     if len(_PROFILE_CACHE) >= _PROFILE_CACHE_MAX:
         _PROFILE_CACHE.pop(next(iter(_PROFILE_CACHE)))
     _PROFILE_CACHE[key] = (
-        result.response_time,
         tuple(
             (timing.released, timing.first_work, timing.completion)
             for timing in result.task_timings
@@ -1319,6 +1327,7 @@ def remember(key: tuple, result: SimulationResult) -> None:
         tuple((ident, tuple(own)) for ident, own in result.intervals.items()),
         result.events,
         result.result_tuples,
+        result.operation_processes,
         result._busy,
     )
 
@@ -1358,10 +1367,9 @@ def execute_hosted(sim, barrier: float) -> Optional[float]:
     instant — by keeping a query classic when a classic query was
     admitted before it at that instant, or any query was admitted onto
     processors still busy, on any engine of the clock).
-    Otherwise — or when the run meets a same-instant tie it cannot
-    order — ``None`` is returned, nothing having been written (the run
-    is computed on private traces, :func:`_compute`): the classic event
-    loop takes over with the build events still armed.
+    Otherwise — or at a same-instant tie — ``None`` is returned,
+    nothing having been written (:func:`_compute_and_commit`): the
+    classic event loop takes over with the build events still armed.
 
     ``clock.events_dispatched`` is deliberately left untouched: the
     classic loop only folds its dispatch count in when ``run()``
@@ -1371,24 +1379,12 @@ def execute_hosted(sim, barrier: float) -> Optional[float]:
     plan = _eligible_hosted(sim)
     if plan is None:
         return None
-    tasks, order, cpus = plan
     _STATS["hosted_runs"] += 1
-    try:
-        finished_at, _nevents, transferred, rows, finals = _compute(
-            tasks, order, cpus, sim.start_at, sim.config
-        )
-    except _SameInstantTie:
-        _STATS["tie_declines"] += 1
-        return None
-    if finished_at >= barrier:
-        _STATS["hosted_rollbacks"] += 1
-        return None
     # The processors are this query's alone until its completion
     # releases them.
-    write_back(sim, (rows, finals, cpus))
-    sim.network.transferred += transferred
-    sim._completed_tasks = len(tasks)
-    sim.finished_at = finished_at
+    if _compute_and_commit(sim, plan, barrier) is None:
+        return None
+    finished_at = sim.finished_at
     for handle in sim._build_handles:
         handle.cancel()
     sim.clock.at(finished_at, sim.on_complete, sim)

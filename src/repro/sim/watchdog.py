@@ -19,11 +19,10 @@ The watchdog **records, and formats only when read**.  Its ring holds
 the raw heap entries the clock dispatched (no allocation, no string
 work); :meth:`Watchdog.dump` turns them into text, which happens once
 per trip and never on a healthy run.  The per-instant counter is two
-compares and an add, cheap enough that the clock's dispatch loop
-carries it inline (loading the state from the watchdog when ``run``
-starts and storing it back when ``run`` ends) rather than calling
-:meth:`Watchdog.observe` per event; ``observe`` is the same step for
-callers that feed a watchdog by hand.
+compares and an add, and it lives in the clock's dispatch loop alone:
+:meth:`~repro.sim.events.SimulationClock.run` loads the watchdog's
+state when it starts, counts inline, and stores the state back when it
+ends, so a watchdog is fed only by running its clock.
 
 The watchdog is pure observation: it never changes event order,
 timing, or counts, so an armed watchdog that does not trip is
@@ -105,20 +104,6 @@ class Watchdog:
         #: Raw ``(time, seq, handle, fn, args)`` heap entries, newest last.
         self._recent: Deque[tuple] = deque(maxlen=trace_events)
         self.tripped = False
-
-    def observe(self, time: float, fn: Callable, args: tuple) -> None:
-        """Count one dispatch at ``time``; trips past the threshold.
-
-        :meth:`SimulationClock.run` inlines this step on the
-        horizon-free loop; it must stay equivalent to that copy."""
-        if time != self._instant:
-            self._instant = time
-            self._count_at_instant = 1
-        else:
-            self._count_at_instant += 1
-        self._recent.append((time, None, None, fn, args))
-        if self._count_at_instant > self.max_events_per_instant:
-            self.trip(time, self._count_at_instant)
 
     def trip(self, time: float, count: int) -> None:
         """Declare the instant ``time`` livelocked after ``count`` events."""

@@ -10,7 +10,7 @@ latency leaves the flat region — is the machine's saturation point
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .arrivals import make_arrivals
@@ -58,19 +58,8 @@ class LoadPoint:
         )
 
     def row(self) -> Dict:
-        return {
-            "load": self.load,
-            "throughput": self.throughput,
-            "utilization": self.utilization,
-            "latency_mean": self.latency_mean,
-            "latency_p50": self.latency_p50,
-            "latency_p95": self.latency_p95,
-            "latency_p99": self.latency_p99,
-            "queue_delay_mean": self.queue_delay_mean,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "makespan": self.makespan,
-        }
+        """Deterministic JSONL row: the fields, in declaration order."""
+        return asdict(self)
 
 
 def open_loop_curve(

@@ -28,7 +28,7 @@ and of the goodput table ``benchmarks/bench_overload.py`` writes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -322,22 +322,8 @@ class OverloadPoint:
         )
 
     def row(self) -> Dict:
-        return {
-            "strategy": self.strategy,
-            "load": self.load,
-            "shed": self.shed,
-            "deadline": self.deadline,
-            "offered": self.offered,
-            "completed": self.completed,
-            "shed_count": self.shed_count,
-            "expired": self.expired,
-            "deadline_aborted": self.deadline_aborted,
-            "cancelled": self.cancelled,
-            "goodput": self.goodput,
-            "miss_rate": self.miss_rate,
-            "p95_latency": self.p95_latency,
-            "utilization": self.utilization,
-        }
+        """Deterministic JSONL row: the fields, in declaration order."""
+        return asdict(self)
 
 
 def overload_sweep(

@@ -50,7 +50,7 @@ isolation assertions of ``benchmarks/bench_fairness.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -508,17 +508,8 @@ class FairnessPoint:
     p95_latency: Optional[float]
 
     def row(self) -> Dict:
-        return {
-            "scheduler": self.scheduler,
-            "abuse_factor": self.abuse_factor,
-            "tenant": self.tenant,
-            "offered": self.offered,
-            "completed": self.completed,
-            "shed": self.shed,
-            "goodput": self.goodput,
-            "share": self.share,
-            "p95_latency": self.p95_latency,
-        }
+        """Deterministic JSONL row: the fields, in declaration order."""
+        return asdict(self)
 
 
 def fairness_sweep(

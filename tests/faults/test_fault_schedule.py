@@ -1,7 +1,13 @@
 """FaultSchedule: validation, seeded generation, serialization."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.faults import CrashFault, FaultSchedule, LinkFault, StallFault
 
 
@@ -31,6 +37,46 @@ class TestValidation:
             FaultSchedule.generate(machine_size=0, horizon=10.0)
         with pytest.raises(ValueError, match="horizon"):
             FaultSchedule.generate(machine_size=4, horizon=0.0)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+    def test_generate_rejects_a_non_finite_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            FaultSchedule.generate(
+                machine_size=4, horizon=horizon, crash_rate=0.1
+            )
+
+    @pytest.mark.parametrize("name", ["crash_rate", "stall_rate", "link_rate"])
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -0.5])
+    def test_generate_rejects_a_bad_rate(self, name, rate):
+        with pytest.raises(ValueError, match=name):
+            FaultSchedule.generate(machine_size=4, horizon=10.0, **{name: rate})
+
+    def test_an_infinite_rate_is_refused_not_drawn_forever(self):
+        """An infinite rate draws zero gaps, so the draw loop never
+        reaches the horizon.  Run in a child with a 1 GiB address-space
+        cap and a timeout, so a regression fails here instead of
+        exhausting the machine."""
+        script = textwrap.dedent(
+            """
+            import resource
+            from repro.faults import FaultSchedule
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            try:
+                FaultSchedule.generate(
+                    machine_size=4, horizon=10.0, crash_rate=float("inf")
+                )
+            except ValueError as exc:
+                print("refused:", exc)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("refused: crash_rate")
 
 
 class TestEmpty:

@@ -48,6 +48,10 @@ class TestResiliencePoint:
             assert row["strategy"] == "SE"
             assert json.loads(json.dumps(row)) == row
 
+    def test_row_round_trips_the_point(self, sweep_points):
+        for point in sweep_points:
+            assert type(point)(**point.row()) == point
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises((KeyError, ValueError)):
             fault_rate_sweep(

@@ -183,6 +183,53 @@ class TestServe:
         assert str(MAX_QUERY_PROCESSORS) in responses[0]["error"]
         assert responses[1]["ok"] and responses[1]["op"] == "stats"
 
+    @pytest.mark.timeout(30)
+    def test_oversized_workload_machine_is_refused(self):
+        """A 2000-processor workload ran 51 s and reached 1.1 GB inside
+        one line; the query limit bounds what a workload provisions."""
+        import time
+
+        started = time.perf_counter()
+        served, responses = self.pump(
+            '{"op": "workload", "machine_size": 2000}', '{"stats": true}'
+        )
+        assert time.perf_counter() - started < 1.0
+        assert served == 2
+        assert not responses[0]["ok"]
+        assert str(MAX_QUERY_PROCESSORS) in responses[0]["error"]
+        assert responses[1]["ok"] and responses[1]["op"] == "stats"
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "cluster", "shards": 4, "machine_size": 300},
+        # Elastic shards provision up to scale_max, by default twice
+        # the base machine: 2 x 600 processors.
+        {"op": "cluster", "shards": 2, "machine_size": 300, "autoscale": "reactive"},
+        {"op": "cluster", "shards": 2, "autoscale": "reactive", "scale_max": 600},
+    ])
+    def test_oversized_cluster_is_refused(self, request_):
+        response = QueryService().handle(request_)
+        assert not response["ok"]
+        assert str(MAX_QUERY_PROCESSORS) in response["error"]
+
+    def test_the_provisioning_bound_counts_what_is_built(self):
+        from repro.service.frontend import _check_provisioned
+
+        # A static cluster never builds its (ignored) scale_max.
+        _check_provisioned(
+            "cluster", {"shards": 2, "machine_size": 300, "scale_max": 5000}
+        )
+        _check_provisioned("cluster", {"shards": 4, "machine_size": 256})
+        _check_provisioned("workload", {"machine_size": MAX_QUERY_PROCESSORS})
+        with pytest.raises(ValueError, match="1025 processors"):
+            _check_provisioned("workload", {"machine_size": 1025})
+
+    def test_a_default_workload_line_is_served(self):
+        response = QueryService().handle({
+            "op": "workload", "arrivals": "closed", "clients": 2,
+            "queries_per_client": 2, "cardinality": 500, "seed": 1,
+        })
+        assert response["ok"] and response["machine_size"] == 40
+
     def test_the_limit_itself_is_served(self):
         response = QueryService().handle({
             "op": "query", "strategy": "SP", "cardinality": 100,

@@ -51,18 +51,6 @@ class TestScheduling:
 
 
 class TestRun:
-    def test_run_until(self):
-        clock = SimulationClock()
-        fired = []
-        clock.at(1.0, fired.append, 1)
-        clock.at(10.0, fired.append, 10)
-        clock.run(until=5.0)
-        assert fired == [1]
-        assert clock.now == 5.0
-        assert clock.pending() == 1
-        clock.run()
-        assert fired == [1, 10]
-
     def test_events_generated_during_run(self):
         clock = SimulationClock()
         fired = []

@@ -195,10 +195,19 @@ class TestPipeliningHashJoinProcess:
         )
         process.init_ready()
         process.release()
-        clock.run(until=50.0)
+        snapshot = []
+        clock.at(
+            50.0,
+            lambda: snapshot.append(
+                (process.left.processed, process.right.processed)
+            ),
+        )
+        clock.run()
         # After half the work, both sides should have progressed.
-        assert process.left.processed > 0
-        assert process.right.processed > 0
+        assert snapshot
+        left, right = snapshot[0]
+        assert left > 0
+        assert right > 0
 
 
 class TestHandshakes:

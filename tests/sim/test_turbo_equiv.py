@@ -164,8 +164,8 @@ def test_same_instant_tie_stands_down_to_the_classic_loop():
     completion: which dispatches first is which callback ran first,
     and emit times cannot tell.  Turbo declines such a run (on this
     point, ordering by emit time put the completion first and finished
-    1.953 ms early, three events over) and rolls back whatever it had
-    computed."""
+    1.953 ms early, three events over); it computed on private traces,
+    so the declined run has written nothing."""
     point = dict(
         cardinality=200, relations=10,
         config=MachineConfig(

@@ -65,30 +65,39 @@ class TestWatchdog:
             Watchdog(trace_events=0)
 
     def test_trips_on_same_instant_flood(self):
-        watchdog = Watchdog(max_events_per_instant=5)
+        clock = SimulationClock()
+        clock.watchdog = watchdog = Watchdog(max_events_per_instant=5)
         for _ in range(5):
-            watchdog.observe(1.0, lambda: None, ())
+            clock.at(1.0, _noop)
+        clock.run()
+        assert not watchdog.tripped
+        clock.at(1.0, _noop)
         with pytest.raises(WatchdogError) as excinfo:
-            watchdog.observe(1.0, lambda: None, ())
+            clock.run()
         assert watchdog.tripped
         assert excinfo.value.at == 1.0
         assert "livelock" in str(excinfo.value)
 
     def test_advancing_time_resets_the_count(self):
-        watchdog = Watchdog(max_events_per_instant=3)
+        clock = SimulationClock()
+        clock.watchdog = watchdog = Watchdog(max_events_per_instant=3)
         for step in range(100):
             for _ in range(3):
-                watchdog.observe(float(step), lambda: None, ())
+                clock.at(float(step), _noop)
+        clock.run()
+        assert clock.events_dispatched == 300
         assert not watchdog.tripped
 
     def test_diagnostic_names_the_spinning_callback(self):
         def spinning_callback():
             pass
 
-        watchdog = Watchdog(max_events_per_instant=2, trace_events=4)
+        clock = SimulationClock()
+        clock.watchdog = Watchdog(max_events_per_instant=2, trace_events=4)
+        for _ in range(5):
+            clock.at(2.5, spinning_callback)
         with pytest.raises(WatchdogError) as excinfo:
-            for _ in range(5):
-                watchdog.observe(2.5, spinning_callback, ())
+            clock.run()
         assert "spinning_callback" in excinfo.value.diagnostic
         assert "t=2.500000s" in excinfo.value.diagnostic
 
@@ -165,20 +174,6 @@ class TestWatchdog:
             clock.at(1.0, _noop)
         with pytest.raises(WatchdogError, match="4 events"):
             clock.run()
-
-    def test_observe_and_the_clock_share_one_ring(self):
-        """Direct ``observe`` callers and the clock's inlined counter
-        feed the same state, in order."""
-        clock = SimulationClock()
-        clock.watchdog = Watchdog(max_events_per_instant=5, trace_events=3)
-        clock.watchdog.observe(0.5, _noop, ())
-        clock.at(0.5, _noop)
-        clock.at(2.0, _respin, clock)
-        with pytest.raises(WatchdogError):
-            clock.run()
-        assert clock.watchdog.dump().splitlines()[-1] == (
-            "  t=2.000000s  _respin(SimulationClock)"
-        )
 
 
 class TestCompaction:

@@ -83,6 +83,7 @@ class TestLoadPoint:
             "latency_p50", "latency_p95", "latency_p99",
             "queue_delay_mean", "completed", "rejected", "makespan",
         }
+        assert type(closed_points[0])(**row) == closed_points[0]
 
     def test_of_copies_the_stats(self, fast_config):
         engine = WorkloadEngine(8, config=fast_config)

@@ -480,3 +480,4 @@ class TestOverloadSweep:
         for key in ("strategy", "load", "shed", "offered", "completed",
                     "goodput", "miss_rate", "utilization"):
             assert key in row
+        assert type(points[0])(**row) == points[0]

@@ -245,3 +245,25 @@ class TestExpiredPicks:
         assert all(entry.deadline_missed for entry in stale)
         assert engine.scheduling_decisions == 3
         assert engine.peak_in_flight == 0
+
+
+class TestFairnessPoint:
+    def test_row_round_trips_the_point(self, fast_config):
+        from repro.workload import fairness_sweep
+
+        points = fairness_sweep(
+            schedulers=("wfq",),
+            abuse_factors=(2.0,),
+            good_rate=0.1,
+            deadline=30.0,
+            duration=20.0,
+            machine_size=8,
+            seed=3,
+            strategy="SE",
+            cardinality=200,
+            config=fast_config,
+        )
+        assert sorted(p.tenant for p in points) == ["abuse", "good"]
+        for point in points:
+            assert list(point.row())[:3] == ["scheduler", "abuse_factor", "tenant"]
+            assert type(point)(**point.row()) == point
