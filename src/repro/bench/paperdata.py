@@ -166,11 +166,3 @@ def claims_for_figure(figure: int) -> List[Claim]:
         ]
     raise ValueError(f"no claims recorded for figure {figure}")
 
-
-def figure14_claims() -> List[str]:
-    """Cross-figure claims about the best-times table (Section 4.4)."""
-    return [
-        "bushy trees give better minimal response times than linear trees",
-        "the wide bushy tree gives the best 5K and 40K times overall",
-        "FP or the paper's winner is within 15% of our best in every cell",
-    ]

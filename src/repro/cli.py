@@ -303,7 +303,7 @@ def _cmd_workload(args) -> int:
     from .api import run_workload
 
     kwargs = _serving_kwargs(args, "workload")
-    if args.crash_rate > 0:
+    if args.crash_rate != 0:
         kwargs["faults"] = _processor_faults(args, args.seed)
     if args.memory_budget_mb is not None:
         kwargs["memory_budget_bytes"] = args.memory_budget_mb * 1024 * 1024
@@ -327,14 +327,14 @@ def _cmd_cluster(args) -> int:
 
     kwargs = _serving_kwargs(args, "cluster")
     shape = "paper" if args.paper_mix else args.shape
-    if args.crash_rate > 0:
+    if args.crash_rate != 0:
         # Engine-level (processor) faults, one independent seeded
         # schedule per shard — shards fail on their own timelines.
         kwargs["faults"] = [
             _processor_faults(args, shard_seed(args.seed, shard))
             for shard in range(args.shards)
         ]
-    if args.shard_crash_rate > 0:
+    if args.shard_crash_rate != 0:
         from .faults import FaultSchedule
 
         # Cluster-level faults: crash events name whole shards.
@@ -803,6 +803,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ValueError as exc:
+        # A value the parser let through but the program rejects (a
+        # non-finite rate, a knob that needs another): one line and a
+        # usage-error exit code, never a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early — not an error.
         try:

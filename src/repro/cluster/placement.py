@@ -68,8 +68,8 @@ class LoadForecast:
     parallelism on a ``machine_size`` shard
     (:func:`~repro.model.analytic.predict_spec_service_time`, charged
     :data:`_FALLBACK_SERVICE` when no plan fits), cached per query
-    class: the model reads only the spec's shape, cardinality, strategy
-    and relation count, so tenant and deadline never split the cache.
+    class (:meth:`~repro.workload.mix.QuerySpec.model_key`), so tenant
+    and deadline never split the cache.
     ``book`` advances a shard's busy-until horizon by that estimate
     (``max(busy_until, now) + estimate``).  It serves ``least_loaded``
     placement, the coordinated router's hedge trigger, and the
@@ -90,7 +90,7 @@ class LoadForecast:
         self._estimates: Dict[Tuple, float] = {}
 
     def estimate(self, spec: QuerySpec) -> float:
-        key = (spec.shape, spec.cardinality, spec.strategy, spec.relations)
+        key = spec.model_key()
         estimate = self._estimates.get(key)
         if estimate is None:
             estimate = analytic.predict_spec_service_time(

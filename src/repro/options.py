@@ -185,8 +185,9 @@ OPTIONS: Tuple[Option, ...] = (
            "livelock-watchdog trip threshold (None disables it)", engine=True, nullable=True),
     # -- scheduling and tenancy ----------------------------------------------
     Option("scheduler", _SCHEDULERS, None,
-           "queue-ordering policy (default: the legacy FIFO deque; 'fifo' is its "
-           "byte-identical alias)", cli=WC, ops=WC, engine=True),
+           "queue-ordering policy (default: the legacy FIFO deque; 'fifo' matches it "
+           "except that it skips a head whose tenant is at max_concurrent)",
+           cli=WC, ops=WC, engine=True),
     Option("pool_size", int, None,
            "scheduler visibility pool: examine only the first K queued queries per decision",
            cli=W, ops=WC, engine=True),

@@ -50,6 +50,7 @@ from ..sim.watchdog import (
     WatchdogError,
 )
 from .lifecycle import (
+    DropNewestPolicy,
     ShedPolicy,
     deadline_rng,
     make_shed_policy,
@@ -225,12 +226,11 @@ class WorkloadEngine:
         (the default) arms nothing — the run is bit-for-bit identical
         to an engine without deadlines.
     ``shed``
-        Load-shedding policy: ``None`` (bare ``queue_limit`` bounce),
-        a name from
+        Load-shedding policy: a name from
         :data:`~repro.workload.lifecycle.SHED_POLICY_NAMES`, or a
         :class:`~repro.workload.lifecycle.ShedPolicy` instance.
-        ``"drop_newest"`` is exactly the bare bounce; the explicit
-        configuration is a strict no-op.
+        ``None`` is ``"drop_newest"``, the bare ``queue_limit``
+        bounce.
     ``watchdog_limit``
         Trip threshold of the livelock watchdog armed on the shared
         clock (events at one simulated instant before the run is
@@ -361,7 +361,9 @@ class WorkloadEngine:
         self.rejected_retry_delay = rejected_retry_delay
         self.deadline = deadline
         self._deadline_rng = deadline_rng(deadline_seed)
-        self.shed = make_shed_policy(shed)
+        self.shed = (
+            make_shed_policy(shed) if shed is not None else DropNewestPolicy()
+        )
         if watchdog_limit is not None:
             self.machine.clock.watchdog = Watchdog(watchdog_limit)
         self._deadline_handles: Dict[int, EventHandle] = {}
@@ -582,12 +584,11 @@ class WorkloadEngine:
         )
 
     def _enqueue(self, record: QueryRecord) -> None:
-        """Join the admission queue.  The deque stays the arrival-
-        ordered source of truth (shed policies scan it directly); a
-        configured scheduler mirrors membership for its own ordering.
-        Recovery re-admissions come through here too, so the scheduler
-        sees their *original* arrival — a retry is not a fresh
-        arrival."""
+        """Join the admission queue.  The deque is the one arrival-
+        ordered queue: shed policies scan it and a configured scheduler
+        ranks it.  Recovery re-admissions come through here too, so the
+        scheduler's hook sees their *original* arrival — a retry is not
+        a fresh arrival."""
         self._queue.append(record)
         self.peak_queued = max(self.peak_queued, len(self._queue))
         if self.scheduler is not None:
@@ -597,8 +598,6 @@ class WorkloadEngine:
         """Drop ``record`` from the admission queue by identity (the
         deque holds mutable dataclasses; ``deque.remove`` would compare
         by value)."""
-        if self.scheduler is not None:
-            self.scheduler.remove(record)
         for position, queued in enumerate(self._queue):
             if queued is record:
                 del self._queue[position]
@@ -610,7 +609,7 @@ class WorkloadEngine:
     def _arrive(self, record: QueryRecord) -> None:
         if self._terminal(record):
             return  # cancelled before its arrival event fired
-        if self.shed is not None and self.shed.shed_on_arrival(self, record):
+        if self.shed.shed_on_arrival(self, record):
             # Predictive shedding: refused before consuming queue space.
             record.rejected = True
             record.shed = self.shed.name
@@ -637,100 +636,74 @@ class WorkloadEngine:
             # closed-loop clients move on to their next request).  The
             # victim is the newcomer itself unless a policy picks
             # another — evicting the head may let the new head start.
-            victim = (
-                record
-                if self.shed is None
-                else self.shed.overflow_victim(self, record)
-            )
+            victim = self.shed.overflow_victim(self, record)
             self._remove_queued(victim)
             victim.rejected = True
-            victim.shed = (
-                "drop_newest"
-                if self.shed is None
-                else self.shed.overflow_reason
-            )
+            victim.shed = self.shed.overflow_reason
             self._query_done(victim)
             if victim is not record:
                 self._pump()
 
     def _pump(self) -> None:
-        """Drive admission: the legacy FIFO loop, the scheduler loop,
-        or (with a positive ``scheduling_cost``) arm one costed
-        decision on the clock."""
-        if self.scheduler is None:
-            self._pump_fifo()
-        elif self.scheduling_cost > 0.0:
+        """Drive admission: take decisions while they succeed, or (with
+        a positive ``scheduling_cost``) arm one costed decision on the
+        clock."""
+        if self.scheduling_cost > 0.0:
             self._schedule_decision()
         else:
-            self._pump_scheduled()
+            while self._admit_next():
+                pass
 
-    def _pump_fifo(self) -> None:
-        """Admit from the FIFO queue head while the gates allow it."""
-        while self._queue:
-            if (
-                self.max_concurrent is not None
-                and self._in_flight >= self.max_concurrent
-            ):
-                return
+    def _admission_open(self) -> bool:
+        """Is there a queued query and room under ``max_concurrent``?"""
+        return bool(self._queue) and (
+            self.max_concurrent is None
+            or self._in_flight < self.max_concurrent
+        )
+
+    def _admit_next(self) -> bool:
+        """One admission decision, the only place a queued query is
+        picked and admitted: the scheduler's pick, or without one the
+        queue head.  Returns whether a queued query was retired
+        (admitted, expired or rejected); a blocked or empty pick leaves
+        the queue as it was."""
+        if not self._admission_open():
+            return False
+        if self.scheduler is None:
             record = self._queue[0]
             if not self._tenant_can_run(record):
                 # Strict FIFO: a head whose tenant is at its
                 # concurrency cap blocks the line (ordering is the
                 # contract; use a scheduler to skip past it).
-                return
-            if self._admit(record) == "blocked":
-                return
-
-    def _pump_scheduled(self) -> None:
-        """Admit whatever the scheduler picks while the gates allow."""
-        while self._queue:
-            if (
-                self.max_concurrent is not None
-                and self._in_flight >= self.max_concurrent
-            ):
-                return
+                return False
+        else:
             record = self.scheduler.pick(
-                self.machine, self.machine.clock.now
+                self._queue, self.machine, self.machine.clock.now
             )
             if record is None:
-                return
-            if self._admit(record) == "blocked":
-                return
+                return False
+        if self._admit(record) == "blocked":
+            return False
+        if self.scheduler is not None:
             self.scheduling_decisions += 1
+        return True
 
     def _schedule_decision(self) -> None:
         """Arm one admission decision ``scheduling_cost`` seconds out
         (unless one is already pending or nothing could be admitted)."""
-        if self._decision_pending or not self._queue:
-            return
-        if (
-            self.max_concurrent is not None
-            and self._in_flight >= self.max_concurrent
-        ):
+        if self._decision_pending or not self._admission_open():
             return
         self._decision_pending = True
         self.machine.clock.after(self.scheduling_cost, self._decision_fire)
 
     def _decision_fire(self) -> None:
-        """One costed scheduling decision: pick, admit, and arm the
-        next decision.  A blocked pick does *not* re-arm — re-scanning
-        an unchanged queue forever would melt simulated time; the next
-        completion, repair, or arrival re-pumps."""
+        """One costed scheduling decision, then arm the next one.  A
+        blocked pick does *not* re-arm — re-scanning an unchanged queue
+        forever would melt simulated time; the next completion, repair,
+        or arrival re-pumps."""
         self._decision_pending = False
-        if not self._queue:
-            return
-        if (
-            self.max_concurrent is not None
-            and self._in_flight >= self.max_concurrent
-        ):
-            return
-        record = self.scheduler.pick(self.machine, self.machine.clock.now)
-        if record is None:
-            return
-        if self._admit(record) == "blocked":
-            return
-        self.scheduling_decisions += 1
-        self._schedule_decision()
+        if self._admit_next():
+            self._schedule_decision()
 
     def _admit(self, record: QueryRecord) -> str:
         """Try to start one queued query *now*.
@@ -739,7 +712,7 @@ class WorkloadEngine:
         passed), ``"rejected"`` (the policy can never run it), or
         ``"blocked"`` (no allocation right now — leave it queued).
         Everything but ``"blocked"`` removes the record from the
-        queue and the scheduler."""
+        queue."""
         if (
             record.deadline is not None
             and self.machine.clock.now

@@ -116,10 +116,11 @@ class DeadlineAwarePolicy(ShedPolicy):
     paper's regime) this is exact up to the model error, which is why
     goodput under ``deadline_aware`` stays near capacity past the
     knee: every admitted query still has time to finish.  Predictions
-    are cached per ``(spec, share)`` — specs are frozen dataclasses —
-    so the policy costs one cost-model evaluation per distinct query
-    class, not per arrival.  Queries without a deadline are never
-    shed here (they fall through to the overflow rule, drop-newest).
+    are cached per query class and share
+    (:meth:`~repro.workload.mix.QuerySpec.model_key`), so the policy
+    costs one cost-model evaluation per distinct query class, not per
+    arrival.  Queries without a deadline are never shed here (they
+    fall through to the overflow rule, drop-newest).
     """
 
     name = "deadline_aware"
@@ -129,7 +130,7 @@ class DeadlineAwarePolicy(ShedPolicy):
         if share is not None and share < 1:
             raise ValueError("share must be positive")
         self.share = share
-        self._estimates: Dict[Tuple["QuerySpec", int], Optional[float]] = {}
+        self._estimates: Dict[Tuple, Optional[float]] = {}
 
     # -- analytic plumbing ------------------------------------------------
 
@@ -150,7 +151,7 @@ class DeadlineAwarePolicy(ShedPolicy):
         ``None`` when the plan is infeasible at that share (admission
         will reject such a query anyway)."""
         share = self._effective_share(engine)
-        key = (spec, share)
+        key = (spec.model_key(), share)
         if key not in self._estimates:
             from ..model.analytic import predict
             from ..optimizer.guidelines import advise_strategy, apply_advice
@@ -222,8 +223,9 @@ class DeadlineAwarePolicy(ShedPolicy):
 def make_shed_policy(
     shed: Union[None, str, ShedPolicy],
 ) -> Optional[ShedPolicy]:
-    """``None`` (no shedding beyond the bare queue bounce), a policy
-    name from :data:`SHED_POLICY_NAMES`, or a ready instance."""
+    """``None`` (no shedding beyond the bare queue bounce; the engine
+    runs it as :class:`DropNewestPolicy`), a policy name from
+    :data:`SHED_POLICY_NAMES`, or a ready instance."""
     if shed is None or isinstance(shed, ShedPolicy):
         return shed
     if shed == "drop_newest":

@@ -74,6 +74,12 @@ class QuerySpec:
     def label(self) -> str:
         return f"{self.shape}/{self.cardinality}/{self.strategy}"
 
+    def model_key(self) -> Tuple[str, int, str, int]:
+        """The fields the analytic model reads: the cache key of every
+        per-class service estimate (tenant and deadline do not split
+        it)."""
+        return (self.shape, self.cardinality, self.strategy, self.relations)
+
 
 @dataclass(frozen=True)
 class QueryMix:

@@ -3,13 +3,15 @@
 The engine's admission queue used to be a hardwired FIFO: every layer
 downstream of it (deadlines, shedding, recovery) was policy-rich while
 the *ordering* decision was not.  A :class:`Scheduler` owns that
-decision — :meth:`~Scheduler.enqueue` mirrors the admission queue,
-:meth:`~Scheduler.pick` names the next query to try, and
-:meth:`~Scheduler.remove` retires entries — and the engine consults it
-instead of popping its deque head:
+decision — :meth:`~Scheduler.pick` ranks the engine's own queue and
+names the next query to try (:meth:`~Scheduler.enqueue` is only a
+hook for per-query state such as WFQ's tags) — and the engine consults
+it instead of popping its deque head:
 
-* :class:`FifoScheduler` — strict arrival order; a byte-identical
-  alias of the legacy queue (the golden-identity tests pin this).
+* :class:`FifoScheduler` — strict arrival order.  Byte-identical to
+  the legacy queue (the golden-identity tests pin this) except when a
+  tenant has ``max_concurrent``: the legacy queue then blocks behind a
+  capped head, while ``fifo`` skips past it.
 * :class:`EdfScheduler` — earliest absolute deadline
   (``arrival + deadline``) first; deadline-free queries go last.
 * :class:`SjfScheduler` — shortest job first, where "short" is the
@@ -51,9 +53,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -216,19 +220,21 @@ class ServiceEstimator:
     advised parallelism on the engine's machine
     (:func:`~repro.model.analytic.predict_spec_service_time`, the one
     forecast the cluster router trusts too).  Estimates are cached per
-    frozen spec, so the cost model runs once per distinct query class,
-    not per arrival.  An infeasible spec estimates to ``None`` (SJF
-    sends it last; WFQ charges a nominal slice — admission will reject
-    it anyway).
+    query class (:meth:`~repro.workload.mix.QuerySpec.model_key`:
+    tenant and deadline do not split the cache), so the cost model runs
+    once per distinct class, not per arrival.  An infeasible spec
+    estimates to ``None`` (SJF sends it last; WFQ charges a nominal
+    slice — admission will reject it anyway).
     """
 
     def __init__(self) -> None:
-        self._cache: Dict["QuerySpec", Optional[float]] = {}
+        self._cache: Dict[Tuple, Optional[float]] = {}
 
     def estimate(
         self, engine: Optional["WorkloadEngine"], spec: "QuerySpec"
     ) -> Optional[float]:
-        if spec not in self._cache:
+        key = spec.model_key()
+        if key not in self._cache:
             from ..model import analytic
 
             if engine is None:
@@ -237,26 +243,27 @@ class ServiceEstimator:
                 size = engine.machine.size
                 config = engine.machine.config
                 cost_model = engine.cost_model
-            self._cache[spec] = analytic.predict_spec_service_time(
+            self._cache[key] = analytic.predict_spec_service_time(
                 spec, size, config, cost_model
             )
-        return self._cache[spec]
+        return self._cache[key]
 
 
 # -- the scheduler protocol -----------------------------------------------
 
 
 class Scheduler:
-    """Ordering policy over the admission queue.
+    """Ordering policy over the engine's admission queue.
 
-    The engine mirrors queue membership into the scheduler
-    (:meth:`enqueue` on arrival *and on recovery re-admission*,
-    :meth:`remove` on admission/shedding/cancellation) and asks
-    :meth:`pick` which queued query to try next.  ``pick`` scans the
-    *visibility pool* — the first ``pool_size`` entries in arrival
-    order (all of them when unbounded) — and returns the admissible
-    entry with the smallest :meth:`rank`; ties resolve to the earliest
-    enqueued, so every policy is deterministic under seeded traffic.
+    The engine owns the one queue; the scheduler keeps none.  The
+    engine calls :meth:`enqueue` as a query joins the queue (on
+    arrival *and on recovery re-admission*) and asks :meth:`pick`
+    which queued query to try next, handing it the queue itself.
+    ``pick`` scans the *visibility pool* — the first ``pool_size``
+    queued queries in arrival order (all of them when unbounded) — and
+    returns the admissible entry with the smallest :meth:`rank`; ties
+    resolve to the earliest enqueued, so every policy is deterministic
+    under seeded traffic.
 
     A queued query whose tenant is at its concurrency cap is skipped,
     not blocked on: the head-of-line never starves other tenants.
@@ -268,7 +275,6 @@ class Scheduler:
     name = "abstract"
 
     def __init__(self) -> None:
-        self._entries: List["QueryRecord"] = []
         self.pool_size: Optional[int] = None
         self.engine: Optional["WorkloadEngine"] = None
 
@@ -283,38 +289,22 @@ class Scheduler:
         self.engine = engine
         self.pool_size = pool_size
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def enqueue(self, record: "QueryRecord") -> None:
-        """A query joined the admission queue.  Recovery re-admissions
-        arrive here too, carrying their *original* ``record.arrival``
-        — a retry is not a fresh arrival."""
-        self._entries.append(record)
-
-    def remove(self, record: "QueryRecord") -> bool:
-        """Retire one entry by identity (records are mutable)."""
-        for position, entry in enumerate(self._entries):
-            if entry is record:
-                del self._entries[position]
-                return True
-        return False
-
-    def visible(self) -> List["QueryRecord"]:
-        """The visibility pool: the first ``pool_size`` queued queries
-        in arrival order (everything when unbounded)."""
-        if self.pool_size is None:
-            return list(self._entries)
-        return self._entries[: self.pool_size]
+        """Hook: a query joined the admission queue.  Recovery
+        re-admissions arrive here too, carrying their *original*
+        ``record.arrival`` — a retry is not a fresh arrival."""
 
     def pick(
-        self, machine: "MachineView", now: float
+        self,
+        queue: Iterable["QueryRecord"],
+        machine: "MachineView",
+        now: float,
     ) -> Optional["QueryRecord"]:
-        """The queued query to try next; ``None`` when nothing in the
-        pool is admissible."""
+        """The query in ``queue`` (arrival order) to try next; ``None``
+        when nothing in the pool is admissible."""
         best: Optional["QueryRecord"] = None
         best_rank: Optional[Tuple] = None
-        for record in self.visible():
+        for record in islice(queue, self.pool_size):
             if not self._admissible(record):
                 continue
             rank = self.rank(record, machine, now)
@@ -337,9 +327,11 @@ class Scheduler:
 
 
 class FifoScheduler(Scheduler):
-    """Strict enqueue order — the legacy queue with a name.  Crash
-    retries re-enter at the tail, exactly as the deque did, so a
-    ``fifo`` run is byte-identical to a scheduler-free one."""
+    """Strict enqueue order: the first admissible query in the pool.
+    Crash retries re-enter at the tail, as in the legacy queue.  A
+    ``fifo`` run is byte-identical to a scheduler-free one unless a
+    tenant has ``max_concurrent``: then the legacy queue blocks behind
+    a capped head, and ``fifo`` skips it."""
 
     name = "fifo"
 
@@ -349,9 +341,12 @@ class FifoScheduler(Scheduler):
         return ()  # all equal: the tie-break (enqueue order) decides
 
     def pick(
-        self, machine: "MachineView", now: float
+        self,
+        queue: Iterable["QueryRecord"],
+        machine: "MachineView",
+        now: float,
     ) -> Optional["QueryRecord"]:
-        for record in self.visible():
+        for record in islice(queue, self.pool_size):
             if self._admissible(record):
                 return record
         return None
@@ -442,7 +437,6 @@ class WfqScheduler(Scheduler):
             tag = start + self._slice(record)
             self._tags[record.index] = tag
             self._tenant_finish[tenant] = tag
-        super().enqueue(record)
 
     def rank(
         self, record: "QueryRecord", machine: "MachineView", now: float

@@ -264,6 +264,28 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "must be non-negative, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (("workload", "--crash-rate", "inf"), "got inf"),
+        (("workload", "--rate", "inf"), "got inf"),
+        (("workload", "--crash-rate", "-1"), "got -1.0"),
+        (("workload", "--crash-rate", "nan"), "got nan"),
+        (("cluster", "--shard-crash-rate", "-1"), "got -1.0"),
+    ])
+    def test_bad_rate_is_one_error_line(self, capsys, tmp_path, argv, bad):
+        """A rate the parser accepts but the program rejects exits 2
+        with one stderr line; a negative or NaN fault rate is not
+        silently run fault-free."""
+        code = main([*argv, "--duration", "5",
+                     "--jsonl", str(tmp_path / "x.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert bad in lines[0]
+        assert "Traceback" not in captured.err
+
 
 class TestWorkloadSchedulers:
     ARGS = TestWorkload.ARGS
@@ -306,9 +328,11 @@ class TestWorkloadSchedulers:
         assert code == 0
 
     def test_pool_size_without_scheduler_errors(self, capsys, tmp_path):
-        with pytest.raises(ValueError, match="pool_size needs a scheduler"):
-            run_cli(capsys, *self.ARGS, "--pool-size", "4",
-                    "--jsonl", str(tmp_path / "x.jsonl"))
+        code = main([*self.ARGS, "--pool-size", "4",
+                     "--jsonl", str(tmp_path / "x.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: pool_size needs a scheduler")
 
 
 class TestCluster:

@@ -49,15 +49,13 @@ class TestSchedulerUnits:
     def test_empty_pool_picks_none(self):
         scheduler = EdfScheduler()
         scheduler.attach(None)
-        assert scheduler.pick(None, 0.0) is None
+        assert scheduler.pick([], None, 0.0) is None
 
     def test_fifo_keeps_enqueue_order(self):
         scheduler = FifoScheduler()
         scheduler.attach(None)
         first, second = record(0), record(1)
-        scheduler.enqueue(first)
-        scheduler.enqueue(second)
-        assert scheduler.pick(None, 0.0) is first
+        assert scheduler.pick([first, second], None, 0.0) is first
 
     def test_edf_prefers_earliest_absolute_deadline(self):
         scheduler = EdfScheduler()
@@ -65,38 +63,22 @@ class TestSchedulerUnits:
         late = record(0, arrival=0.0, deadline=100.0)
         urgent = record(1, arrival=5.0, deadline=20.0)
         free = record(2)  # deadline-free ranks last
-        for entry in (free, late, urgent):
-            scheduler.enqueue(entry)
-        assert scheduler.pick(None, 0.0) is urgent
+        assert scheduler.pick([free, late, urgent], None, 0.0) is urgent
 
     def test_edf_ties_resolve_to_enqueue_order(self):
         scheduler = EdfScheduler()
         scheduler.attach(None)
         first = record(0, deadline=50.0)
         second = record(1, deadline=50.0)
-        scheduler.enqueue(first)
-        scheduler.enqueue(second)
-        assert scheduler.pick(None, 0.0) is first
-
-    def test_remove_is_by_identity(self):
-        scheduler = FifoScheduler()
-        scheduler.attach(None)
-        twin_a = record(0)
-        twin_b = record(0)  # equal by value, distinct by identity
-        scheduler.enqueue(twin_a)
-        scheduler.enqueue(twin_b)
-        assert scheduler.remove(twin_b)
-        assert scheduler.pick(None, 0.0) is twin_a
-        assert not scheduler.remove(twin_b)
+        assert scheduler.pick([first, second], None, 0.0) is first
 
     def test_pool_size_bounds_visibility(self):
         scheduler = EdfScheduler()
         scheduler.attach(None, pool_size=2)
         hidden_urgent = record(2, deadline=1.0)
         visible = [record(0, deadline=90.0), record(1, deadline=80.0)]
-        for entry in visible + [hidden_urgent]:
-            scheduler.enqueue(entry)
-        assert scheduler.pick(None, 0.0) is visible[1]
+        queue = visible + [hidden_urgent]
+        assert scheduler.pick(queue, None, 0.0) is visible[1]
 
     def test_attach_rejects_bad_pool_size(self):
         with pytest.raises(ValueError, match="pool_size"):
@@ -240,11 +222,27 @@ class TestExpiredPicks:
         engine.machine.clock.now = 10.0
         engine._pump()
         assert not engine._queue
-        assert len(engine.scheduler) == 0
         assert all(entry.shed == "expired" for entry in stale)
         assert all(entry.deadline_missed for entry in stale)
         assert engine.scheduling_decisions == 3
         assert engine.peak_in_flight == 0
+
+
+class TestEngineQueue:
+    def test_remove_queued_is_by_identity(self, fast_config):
+        """The engine's queue is the only queue: removal scans it by
+        identity (records equal by value stay distinct) and a pick
+        sees what remains."""
+        engine = small_engine(fast_config, scheduler="fifo")
+        twin_a = record(0)
+        twin_b = record(0)  # equal by value, distinct by identity
+        engine._enqueue(twin_a)
+        engine._enqueue(twin_b)
+        assert engine._remove_queued(twin_b)
+        assert len(engine._queue) == 1
+        assert engine._queue[0] is twin_a
+        assert engine.scheduler.pick(engine._queue, None, 0.0) is twin_a
+        assert not engine._remove_queued(twin_b)
 
 
 class TestFairnessPoint:
