@@ -287,10 +287,29 @@ def _serving_kwargs(args, command: str) -> dict:
     return kwargs
 
 
-def _processor_faults(args, seed: int):
+def _generate_faults(rate_flag: str, repair_flag: str, **kwargs):
+    """``FaultSchedule.generate`` whose refusal names the flag typed,
+    not the library argument: ``--crash-rate`` and
+    ``--shard-crash-rate`` both feed ``crash_rate``."""
     from .faults import FaultSchedule
 
-    return FaultSchedule.generate(
+    try:
+        return FaultSchedule.generate(**kwargs)
+    except ValueError as exc:
+        message = str(exc)
+        for name, flag in (
+            ("crash_rate", rate_flag),
+            ("repair_time", repair_flag),
+            ("horizon", "--duration"),
+        ):
+            if message.startswith(name + " "):
+                raise ValueError(flag + message[len(name):]) from None
+        raise
+
+
+def _processor_faults(args, seed: int):
+    return _generate_faults(
+        "--crash-rate", "--repair-time",
         machine_size=args.machine_size,
         horizon=args.duration,
         seed=seed,
@@ -335,10 +354,9 @@ def _cmd_cluster(args) -> int:
             for shard in range(args.shards)
         ]
     if args.shard_crash_rate != 0:
-        from .faults import FaultSchedule
-
         # Cluster-level faults: crash events name whole shards.
-        kwargs["shard_faults"] = FaultSchedule.generate(
+        kwargs["shard_faults"] = _generate_faults(
+            "--shard-crash-rate", "--shard-repair-time",
             machine_size=args.shards,
             horizon=args.duration,
             seed=args.seed,

@@ -5,16 +5,16 @@ open-loop workload: one :class:`TraceQuery` per arrival (arrival time,
 tenant, shape, cardinality, strategy, relations, deadline) plus the
 seed the traffic was generated with.  Traces are the cluster's
 first-class benchmark input — record one from any workload run
-(:meth:`Trace.from_workload`), synthesize one at scale over a process
-pool (:func:`synthesize_trace`), ship it as JSON, and replay it
+(:meth:`Trace.from_workload`), synthesize one at scale
+(:func:`synthesize_trace`), ship it as JSON, and replay it
 bit-for-bit into :func:`repro.api.run_cluster`.
 
 Determinism contract: the JSON form is canonical (sorted keys, fixed
 separators), so ``Trace.from_json(trace.to_json()).to_json()`` is
 byte-identical to ``trace.to_json()``; and :func:`synthesize_trace`
-partitions the horizon into a *fixed* number of segments independent
-of the worker count, so ``workers=1`` and ``workers=8`` produce the
-same trace byte for byte.
+partitions the horizon into a *fixed* number of segments, each drawn
+from its own derived seed, so a (rate, duration, seed, segments)
+tuple names one trace byte for byte.
 """
 
 from __future__ import annotations
@@ -231,18 +231,6 @@ def _segment_seed(seed: int, segment: int) -> int:
     return seed + _SEGMENT_SEED_STRIDE * (segment + 1)
 
 
-def _synthesize_segment(payload: Tuple) -> List[Dict]:
-    """Generate one horizon segment's arrivals (process-pool entry
-    point — module-level and picklable; returns plain payload dicts)."""
-    mix, rate, start, length, seed = payload
-    times = poisson_arrivals(rate, length, seed, start=start)
-    specs = sample_specs(mix, len(times), seed)
-    return [
-        TraceQuery.from_spec(time, spec).to_payload()
-        for time, spec in zip(times, specs)
-    ]
-
-
 def synthesize_trace(
     mix: Union[QueryMix, QuerySpec, str],
     *,
@@ -250,18 +238,14 @@ def synthesize_trace(
     duration: float = 60.0,
     seed: int = 0,
     segments: int = 8,
-    workers: Optional[int] = None,
 ) -> Trace:
-    """Generate a Poisson trace at scale, fanning segments over a
-    process pool.
+    """Generate a Poisson trace at scale, one horizon segment at a time.
 
     The horizon is split into ``segments`` equal windows — a *fixed*
-    partition independent of ``workers`` — each generated from its own
-    derived seed.  Concatenating independent Poisson streams over
-    disjoint windows is again a Poisson stream, and the per-segment
-    seeds make the result byte-identical at any worker count (the
-    house determinism invariant).  ``workers`` ∈ {None, 0, 1} runs the
-    segments serially in-process.
+    partition — each generated from its own derived seed.
+    Concatenating independent Poisson streams over disjoint windows is
+    again a Poisson stream, and the partition and per-segment seeds fix
+    the result byte for byte.
     """
     if isinstance(mix, str):
         mix = QuerySpec(mix)
@@ -274,20 +258,12 @@ def synthesize_trace(
     if segments < 1:
         raise ValueError("segments must be positive")
     length = duration / segments
-    payloads = [
-        (mix, rate, index * length, length, _segment_seed(seed, index))
-        for index in range(segments)
-    ]
-    if workers is not None and workers > 1 and segments > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(workers, segments)
-        ) as pool:
-            chunks = list(pool.map(_synthesize_segment, payloads))
-    else:
-        chunks = [_synthesize_segment(payload) for payload in payloads]
-    queries = tuple(
-        TraceQuery.from_payload(item) for chunk in chunks for item in chunk
-    )
-    return Trace(queries=queries, seed=seed)
+    queries: List[TraceQuery] = []
+    for index in range(segments):
+        sub_seed = _segment_seed(seed, index)
+        times = poisson_arrivals(rate, length, sub_seed, start=index * length)
+        specs = sample_specs(mix, len(times), sub_seed)
+        queries.extend(
+            TraceQuery.from_spec(time, spec) for time, spec in zip(times, specs)
+        )
+    return Trace(queries=tuple(queries), seed=seed)

@@ -21,6 +21,23 @@ from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
 
+# Every check is written so that NaN fails it: NaN compares false with
+# everything, so ``x < 0`` would let it through.
+
+
+def _check_processor(processor: int) -> None:
+    if not processor >= 0:
+        raise ValueError(f"processor id must be non-negative, got {processor}")
+
+
+def _check_window(what: str, start: float, end: float) -> None:
+    if not (0 <= start < end and math.isfinite(end)):
+        raise ValueError(
+            f"{what} window must be finite with positive extent, "
+            f"got [{start}, {end})"
+        )
+
+
 @dataclass(frozen=True)
 class CrashFault:
     """Crash-stop failure of one processor at ``at`` seconds; the node
@@ -31,12 +48,18 @@ class CrashFault:
     repair_at: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.processor < 0:
-            raise ValueError("processor id must be non-negative")
-        if self.at < 0:
-            raise ValueError("crash time must be non-negative")
-        if self.repair_at is not None and self.repair_at <= self.at:
-            raise ValueError("repair must happen after the crash")
+        _check_processor(self.processor)
+        if not (math.isfinite(self.at) and self.at >= 0):
+            raise ValueError(
+                f"crash time must be finite and non-negative, got {self.at}"
+            )
+        if self.repair_at is not None and not (
+            math.isfinite(self.repair_at) and self.repair_at > self.at
+        ):
+            raise ValueError(
+                "repair must happen at a finite time after the crash, "
+                f"got {self.repair_at}"
+            )
 
 
 @dataclass(frozen=True)
@@ -50,12 +73,12 @@ class StallFault:
     factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.processor < 0:
-            raise ValueError("processor id must be non-negative")
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError("stall window must have positive extent")
-        if self.factor <= 0:
-            raise ValueError("stall factor must be positive")
+        _check_processor(self.processor)
+        _check_window("stall", self.start, self.end)
+        if not (math.isfinite(self.factor) and self.factor > 0):
+            raise ValueError(
+                f"stall factor must be finite and positive, got {self.factor}"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,10 +93,12 @@ class LinkFault:
     loss: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError("link-fault window must have positive extent")
-        if self.extra_delay < 0:
-            raise ValueError("extra delay must be non-negative")
+        _check_window("link-fault", self.start, self.end)
+        if not (math.isfinite(self.extra_delay) and self.extra_delay >= 0):
+            raise ValueError(
+                "extra delay must be finite and non-negative, "
+                f"got {self.extra_delay}"
+            )
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError("loss must be a probability")
 
@@ -81,8 +106,8 @@ class LinkFault:
 @dataclass(frozen=True)
 class FaultSchedule:
     """An immutable, replayable list of faults plus the seed for the
-    per-batch loss draws.  Hashable, so it can ride inside a frozen
-    :class:`repro.runner.Job` and participate in cache keys."""
+    per-batch loss draws.  Hashable, so it can key a memo or ride in a
+    frozen dataclass."""
 
     crashes: Tuple[CrashFault, ...] = ()
     stalls: Tuple[StallFault, ...] = ()
@@ -140,14 +165,28 @@ class FaultSchedule:
         # plain ``<= 0`` test would let it through.
         if not (math.isfinite(horizon) and horizon > 0):
             raise ValueError(f"horizon must be finite and positive, got {horizon}")
-        for name, rate in (
+        non_negative = (
             ("crash_rate", crash_rate),
             ("stall_rate", stall_rate),
             ("link_rate", link_rate),
-        ):
-            if not (math.isfinite(rate) and rate >= 0):
+            ("link_delay", link_delay),
+        )
+        positive = [
+            ("stall_duration", stall_duration),
+            ("stall_factor", stall_factor),
+            ("link_duration", link_duration),
+        ]
+        if repair_time is not None:  # None: crashed nodes never rejoin
+            positive.append(("repair_time", repair_time))
+        for name, value in non_negative:
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"{name} must be finite and non-negative, got {rate}"
+                    f"{name} must be finite and non-negative, got {value}"
+                )
+        for name, value in positive:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be finite and positive, got {value}"
                 )
         # Integer-derived sub-seeds: string seeds would go through
         # per-process randomized hashing and break replayability.

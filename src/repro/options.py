@@ -7,8 +7,7 @@ of re-spelling them: the ``workload`` / ``cluster`` / ``faults`` CLI
 flags and their forwarding (:mod:`repro.cli`), the service's accepted
 keys and per-key type check (:mod:`repro.service.frontend`), the
 per-shard engine-options dict (:func:`engine_options`, consumed by
-``WorkloadEngine.from_options``), and the runner's facade calls
-(:mod:`repro.runner.execute`).  The facade signatures and the frozen
+``WorkloadEngine.from_options``).  The facade signatures and the frozen
 ``RUN_*_KEYWORDS`` tuples stay literal — they are the v1 surface — and
 ``tests/test_options.py`` pins table ≡ signatures, so adding a knob is:
 a row here, the facade parameter, and the engine line that uses it.
@@ -125,7 +124,7 @@ OPTIONS: Tuple[Option, ...] = (
     Option("scale_cooldown", float, None, "simulated seconds between scale events",
            takes=C, cli=C, ops=C),
     Option("workers", int, None, "no effect on cluster runs (a cluster run is serial)",
-           takes=C, cli=C, ops=C),
+           takes=C),
     # -- traffic -------------------------------------------------------------
     Option("arrivals", ("poisson", "fixed", "closed"), "poisson",
            "open-loop arrival process, or a closed loop", cli=WC, ops=WC),

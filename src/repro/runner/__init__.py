@@ -1,9 +1,10 @@
-"""Parallel sweep runner.
+"""Parallel sweep runner for the paper's evaluation grid.
 
-Declarative experiment grids (:class:`SweepSpec`), process-pool
-execution with per-job timeout, retry and serial fallback
-(:func:`run_sweep`), a content-addressed on-disk result cache
-(:class:`ResultCache`), and deterministic JSONL result emission.
+Declarative experiment grids (:class:`SweepSpec`) whose every job is
+one single-query paper point, process-pool execution with per-job
+timeout, retry and serial fallback (:func:`run_sweep`), a
+content-addressed on-disk result cache (:class:`ResultCache`), and
+deterministic JSONL result emission.
 
 Quickstart::
 
@@ -25,7 +26,7 @@ from .results import (
     to_sweep_result,
     write_jsonl,
 )
-from .spec import CACHE_VERSION, Job, SweepSpec, WorkloadTraffic
+from .spec import CACHE_VERSION, Job, SweepSpec
 
 __all__ = [
     "CACHE_VERSION",
@@ -36,7 +37,6 @@ __all__ = [
     "ResultCache",
     "SweepRun",
     "SweepSpec",
-    "WorkloadTraffic",
     "default_cache_dir",
     "default_workers",
     "jsonl_line",

@@ -1,7 +1,8 @@
 """Parallel sweep execution.
 
 Experiment points are embarrassingly parallel — each is one planning +
-simulation run with no shared state — so the executor fans the job
+simulation run of one paper point, fault-free and unbounded, with no
+shared state — so the executor fans the job
 list of a :class:`~repro.runner.spec.SweepSpec` out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`:
 
@@ -27,10 +28,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.cost import Catalog
 from ..core.shapes import make_shape, paper_relation_names
 from ..core.strategies import get_strategy
-from ..sim.run import QueryAbortedError, simulate
+from ..sim.run import simulate
 from .cache import ResultCache
 from .results import JobOutcome, SweepRun
-from .spec import Job, SweepSpec, WorkloadTraffic
+from .spec import Job, SweepSpec
 
 try:  # pragma: no cover - import location is version-dependent
     from concurrent.futures.process import BrokenProcessPool
@@ -63,38 +64,19 @@ def run_job(job: Job) -> Tuple[Dict, Dict]:
     module-level, picklable callable.
     """
     started = time.perf_counter()
-    if job.scheduler is not None:
-        return _run_workload_job(job, started)
     names = paper_relation_names(job.relations)
     tree = make_shape(job.shape, names)
     catalog = Catalog.regular(names, job.cardinality)
     schedule = get_strategy(job.strategy).schedule(
         tree, catalog, job.processors, job.cost_model
     )
-    try:
-        result = simulate(
-            schedule,
-            catalog,
-            job.config,
-            cost_model=job.cost_model,
-            skew_theta=job.skew_theta,
-            faults=job.faults,
-            deadline=job.deadline,
-        )
-    except QueryAbortedError as exc:
-        # A scheduled crash (or an expired deadline) killed the query;
-        # record the abort as a deterministic row so sweeps over fault
-        # schedules and deadlines still cache and replay bit-for-bit.
-        row = {
-            **job.payload(),
-            "metrics": {
-                "aborted": True,
-                "aborted_at": exc.at,
-                "reason": exc.reason,
-            },
-        }
-        meta = {"elapsed": time.perf_counter() - started, "pid": os.getpid()}
-        return row, meta
+    result = simulate(
+        schedule,
+        catalog,
+        job.config,
+        cost_model=job.cost_model,
+        skew_theta=job.skew_theta,
+    )
     breakdown = result.busy_by_kind()
     row = {
         **job.payload(),
@@ -108,90 +90,6 @@ def run_job(job: Job) -> Tuple[Dict, Dict]:
             "stream_count": result.stream_count,
             "events": result.events,
             "result_tuples": result.result_tuples,
-        },
-    }
-    meta = {"elapsed": time.perf_counter() - started, "pid": os.getpid()}
-    return row, meta
-
-
-def _facade_kwargs(job: Job, traffic: WorkloadTraffic, keywords) -> Dict:
-    """Every knob the cell carries, under the facade keyword of the
-    same name (``job.processors`` is the facade's ``machine_size``);
-    knobs neither the job nor its traffic block has keep the facade
-    default."""
-    carried = {**vars(job), **vars(traffic), "machine_size": job.processors}
-    return {name: carried[name] for name in keywords if name in carried}
-
-
-def _run_workload_job(job: Job, started: float) -> Tuple[Dict, Dict]:
-    """Run a scheduler-bearing cell as a whole workload.
-
-    ``job.processors`` is the shared machine size and ``job.workload``
-    (default :class:`WorkloadTraffic`) shapes the open-loop traffic;
-    the row's metrics summarize the workload instead of one query.
-    """
-    traffic = job.workload or WorkloadTraffic()
-    if traffic.shards > 1:
-        return _run_cluster_job(job, traffic, started)
-    from ..api import RUN_WORKLOAD_KEYWORDS, run_workload
-
-    result = run_workload(
-        job.shape, **_facade_kwargs(job, traffic, RUN_WORKLOAD_KEYWORDS)
-    )
-    latency = result.latency_stats()
-    row = {
-        **job.payload(),
-        "metrics": {
-            "submitted": len(result.records),
-            "completed": len(result.completed()),
-            "rejected": result.rejected_count(),
-            "shed": result.shed_count(),
-            "expired": result.deadline_missed_count(),
-            "makespan": result.makespan,
-            "throughput": result.throughput(),
-            "goodput": result.goodput(),
-            "utilization": result.utilization(),
-            "latency_p50": latency["p50"],
-            "latency_p95": latency["p95"],
-            "scheduling_decisions": result.scheduling_decisions,
-        },
-    }
-    meta = {"elapsed": time.perf_counter() - started, "pid": os.getpid()}
-    return row, meta
-
-
-def _run_cluster_job(
-    job: Job, traffic: WorkloadTraffic, started: float
-) -> Tuple[Dict, Dict]:
-    """Run a ``shards > 1`` cell through the cluster front-end.
-
-    ``job.processors`` is the *per-shard* machine size.  The job runs
-    its shards serially — the sweep's own process pool is the
-    parallelism budget; nesting pools would oversubscribe it.
-    """
-    from ..api import RUN_CLUSTER_KEYWORDS, run_cluster
-
-    result = run_cluster(
-        job.shape, **_facade_kwargs(job, traffic, RUN_CLUSTER_KEYWORDS)
-    )
-    latency = result.latency_stats()
-    row = {
-        **job.payload(),
-        "metrics": {
-            "submitted": result.submitted_count(),
-            "completed": result.completed_count(),
-            "rejected": result.rejected_count(),
-            "useful": result.useful_count(),
-            "makespan": result.makespan,
-            "throughput": result.throughput(),
-            "goodput": result.goodput(),
-            "latency_p50": latency["p50"],
-            "latency_p95": latency["p95"],
-            "latency_p99": latency["p99"],
-            "shards": len(result.shards),
-            "migrations": result.migrations,
-            "scale_ups": result.scale_ups(),
-            "scale_downs": result.scale_downs(),
         },
     }
     meta = {"elapsed": time.perf_counter() - started, "pid": os.getpid()}

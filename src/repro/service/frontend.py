@@ -15,10 +15,12 @@ threads per request.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, IO, Iterator, List, Optional
 
 from ..core.shapes import SHAPE_NAMES
 from ..options import OPTIONS, QWC, WC, Option
+from ..sim.watchdog import WatchdogError
 
 #: Backends a service request may ask for.
 SERVICE_BACKENDS = ("sim", "ideal")
@@ -109,6 +111,11 @@ class QueryService:
             return self._count(op, getattr(self, f"_{op}")(request))
         except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
             return self._error(str(exc))
+        except WatchdogError as exc:
+            # Knobs that freeze the clock (a repair so far out that
+            # float spacing swallows every chunk) livelock the run; the
+            # watchdog's first line says where, its trace is for debugging.
+            return self._error(str(exc).splitlines()[0])
 
     def _count(self, op: str, response: Dict) -> Dict:
         if response.get("ok"):
@@ -388,6 +395,16 @@ def _reject_constant(token: str):
     raise ValueError(f"{token} is not valid JSON (RFC 8259)")
 
 
+def _finite_float(literal: str) -> float:
+    """``json.loads`` hook for number literals: one that overflows a
+    float (``1e400``) would decode as ``inf``, which the constant hook
+    never sees."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} overflows a float")
+    return value
+
+
 def serve(
     in_stream: IO[str],
     out_stream: IO[str],
@@ -396,7 +413,8 @@ def serve(
     """Pump line-delimited JSON requests through a service.
 
     Blank lines are skipped; unparseable lines — bad syntax, the
-    non-finite constants, nesting too deep to parse — and lines longer
+    non-finite constants, number literals that overflow a float,
+    nesting too deep to parse — and lines longer
     than :data:`MAX_LINE_CHARS` produce an error response on their line
     rather than aborting the stream.  Returns the number of requests
     served.
@@ -414,7 +432,11 @@ def serve(
             if not line:
                 continue
             try:
-                request = json.loads(line, parse_constant=_reject_constant)
+                request = json.loads(
+                    line,
+                    parse_constant=_reject_constant,
+                    parse_float=_finite_float,
+                )
             except (ValueError, RecursionError) as exc:
                 response = {"ok": False, "error": f"bad JSON: {exc}"}
             else:

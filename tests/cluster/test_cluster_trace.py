@@ -1,6 +1,7 @@
 """Trace determinism: the frozen record/replay format round-trips
-byte for byte, and synthesis is worker-count invariant."""
+byte for byte, and synthesis is pinned to its bytes."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,9 +11,7 @@ from repro.workload import QuerySpec
 
 
 def small_trace():
-    return synthesize_trace(
-        "wide_bushy", rate=0.5, duration=30.0, seed=13, workers=1
-    )
+    return synthesize_trace("wide_bushy", rate=0.5, duration=30.0, seed=13)
 
 
 class TestRoundTrip:
@@ -81,14 +80,23 @@ class TestValidation:
 
 
 class TestSynthesis:
-    def test_worker_count_invariant(self):
-        serial = synthesize_trace(
-            "wide_bushy", rate=1.0, duration=60.0, seed=21, workers=1
+    @pytest.mark.parametrize("rate, duration, seed, segments, queries, digest", [
+        (1.0, 60.0, 0, 8, 57,
+         "97893c133877a8ad3da3ac70320a5e510cb38bcaced95066620600c1e0f133bd"),
+        (0.5, 300.0, 7, 3, 158,
+         "3a50fa19d617d28a3c1e9c516e00904d44740a52d4b88470abc6b9c1e8b40459"),
+        (4.0, 25.0, 11, 1, 102,
+         "59375496eb3b39d881c4589e828797806e5637c9222c38469e144a2e094c92ef"),
+    ])
+    def test_pinned_digests(self, rate, duration, seed, segments, queries, digest):
+        """The segment partition and per-segment seeds fix the bytes,
+        so a (rate, duration, seed, segments) tuple names one trace."""
+        trace = synthesize_trace(
+            "wide_bushy", rate=rate, duration=duration, seed=seed,
+            segments=segments,
         )
-        pooled = synthesize_trace(
-            "wide_bushy", rate=1.0, duration=60.0, seed=21, workers=4
-        )
-        assert serial.to_json() == pooled.to_json()
+        assert len(trace) == queries
+        assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
 
     def test_seed_changes_the_trace(self):
         a = synthesize_trace("wide_bushy", rate=1.0, duration=30.0, seed=1)

@@ -1,5 +1,6 @@
 """FaultSchedule: validation, seeded generation, serialization."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,6 +10,16 @@ import pytest
 
 import repro
 from repro.faults import CrashFault, FaultSchedule, LinkFault, StallFault
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def generate(**bad):
+    """``FaultSchedule.generate`` with one argument replaced."""
+    return FaultSchedule.generate(
+        machine_size=4, horizon=10.0, crash_rate=0.5, **bad
+    )
 
 
 class TestValidation:
@@ -50,6 +61,51 @@ class TestValidation:
     def test_generate_rejects_a_bad_rate(self, name, rate):
         with pytest.raises(ValueError, match=name):
             FaultSchedule.generate(machine_size=4, horizon=10.0, **{name: rate})
+
+    @pytest.mark.parametrize("make, args, names", [
+        (CrashFault, (0, NAN), "crash time"),
+        (CrashFault, (0, INF), "crash time"),
+        (CrashFault, (NAN, 1.0), "processor"),
+        (CrashFault, (0, 1.0, NAN), "repair"),
+        (CrashFault, (0, 1.0, INF), "repair"),
+        (StallFault, (0, NAN, 2.0), "stall window"),
+        (StallFault, (0, 1.0, NAN), "stall window"),
+        (StallFault, (0, 1.0, INF), "stall window"),
+        (StallFault, (0, 1.0, 2.0, NAN), "stall factor"),
+        (StallFault, (0, 1.0, 2.0, INF), "stall factor"),
+        (LinkFault, (1.0, NAN), "link-fault window"),
+        (LinkFault, (1.0, INF), "link-fault window"),
+        (LinkFault, (1.0, 2.0, NAN), "extra delay"),
+        (LinkFault, (1.0, 2.0, INF), "extra delay"),
+        (LinkFault, (1.0, 2.0, 0.0, NAN), "loss"),
+        *(
+            (functools.partial(generate, **{name: value}), (), name)
+            for name, bad in (
+                ("repair_time", (NAN, INF, 0.0, -1.0)),
+                ("stall_duration", (NAN, INF, 0.0, -1.0)),
+                ("stall_factor", (NAN, INF, 0.0, -1.0)),
+                ("link_duration", (NAN, INF, 0.0, -1.0)),
+                ("link_delay", (NAN, INF, -1.0)),
+            )
+            for value in bad
+        ),
+    ])
+    def test_non_finite_and_out_of_range_values_are_refused(
+        self, make, args, names
+    ):
+        """NaN fails every comparison, so a plain ``< 0`` check lets it
+        through: a NaN repair time used to complete every query at a
+        NaN makespan, an infinite one at an infinite makespan.  Each
+        refusal names the field or argument."""
+        with pytest.raises(ValueError, match=names):
+            make(*args)
+
+    def test_an_absent_repair_time_still_means_never(self):
+        schedule = FaultSchedule.generate(
+            machine_size=4, horizon=10.0, crash_rate=0.5, repair_time=None
+        )
+        assert schedule.crashes
+        assert all(crash.repair_at is None for crash in schedule.crashes)
 
     def test_an_infinite_rate_is_refused_not_drawn_forever(self):
         """An infinite rate draws zero gaps, so the draw loop never

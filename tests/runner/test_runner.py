@@ -7,6 +7,7 @@ import pytest
 
 from repro.runner import (
     CACHE_VERSION,
+    Job,
     JobFailed,
     ResultCache,
     SweepSpec,
@@ -80,6 +81,18 @@ class TestSpec:
         import hashlib
 
         assert job.key() == hashlib.sha256(canonical.encode()).hexdigest()
+
+    def test_pinned_cache_keys_unchanged(self):
+        """Paper points keep their pinned content addresses, so every
+        existing cache entry stays valid."""
+        assert Job("wide_bushy", "FP", 40, 5_000).key() == (
+            "ea60f30754a8ceda3e747417010a2a6afa41438c74da13154cce097f42ea8878"
+        )
+        assert Job(
+            "left_linear", "SE", 20, 2_000, skew_theta=0.7
+        ).key() == (
+            "d9728d43b21c50bcb0c0bb05a9a3d9b2d207ad92e1b6adf01144185fb5a67746"
+        )
 
 
 class TestCache:

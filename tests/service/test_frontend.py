@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import tracemalloc
 
 import pytest
@@ -719,3 +720,43 @@ class TestHostileValues:
             dict(TestClusterOp.REQUEST, trace={}),
         ):
             assert SERVICE.handle(request_)["ok"] is False, request_
+
+
+#: Request lines that must each get exactly one ``ok: false`` — the
+#: same file the CI perf-smoke job pipes through ``python -m repro serve``.
+HOSTILE_FILE = pathlib.Path(__file__).with_name("hostile_lines.jsonl")
+
+
+class TestHostileLinesFile:
+    LINES = HOSTILE_FILE.read_text().splitlines()
+    STATS = '{"op": "stats"}'
+
+    def pump(self, *lines):
+        out = io.StringIO()
+        served = serve(io.StringIO("\n".join(lines) + "\n"), out)
+        text = out.getvalue()
+        return served, text, [json.loads(l) for l in text.splitlines()]
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("index", range(len(LINES)))
+    def test_one_error_and_the_stream_goes_on(self, index):
+        served, text, responses = self.pump(self.LINES[index], self.STATS)
+        assert served == 2
+        assert responses[0]["ok"] is False
+        assert responses[1]["ok"] is True and responses[1]["op"] == "stats"
+        assert "NaN" not in text and "Infinity" not in text
+
+    @pytest.mark.timeout(120)
+    def test_the_whole_file_gets_one_error_per_line(self):
+        """Including the livelock a repair at 1e300 causes (float
+        spacing there swallows every chunk): the watchdog's trip is
+        answered with its first line, not its event trace."""
+        served, text, responses = self.pump(*self.LINES)
+        assert served == len(self.LINES) == len(responses)
+        assert all(response["ok"] is False for response in responses)
+        assert all("\n" not in response["error"] for response in responses)
+        assert any(
+            response["error"].startswith("simulation livelock: ")
+            for response in responses
+        )
+        assert "NaN" not in text and "Infinity" not in text

@@ -30,31 +30,6 @@ def smoke_spec(shape):
 
 
 @pytest.mark.bench_smoke
-def test_faulted_smoke_point(tmp_path):
-    """One faulted cell through the same runner: the crash aborts
-    deterministically, caches, and replays byte-identically."""
-    from repro.faults import CrashFault, FaultSchedule
-
-    crash = FaultSchedule(crashes=(CrashFault(processor=0, at=0.25),))
-    spec = SweepSpec(
-        shapes=("wide_bushy",),
-        strategies=("FP",),
-        cardinalities=(CARDINALITY,),
-        processors=PROCESSORS,
-        configs=(FAST,),
-        fault_schedules=(crash,),
-    )
-    run = run_sweep(spec, cache_dir=tmp_path)
-    (row,) = run.rows()
-    assert row["metrics"] == {
-        "aborted": True, "aborted_at": 0.25, "reason": "processor 0 crashed"
-    }
-    warm = run_sweep(spec, cache_dir=tmp_path)
-    assert warm.cached_count() == 1
-    assert warm.jsonl() == run.jsonl()
-
-
-@pytest.mark.bench_smoke
 @pytest.mark.parametrize("shape", SHAPE_NAMES)
 def test_figure_smoke_point(shape, tmp_path):
     assert shape in FIGURE_OF_SHAPE

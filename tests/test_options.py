@@ -108,7 +108,6 @@ CLI_SURFACE = {
         "--think": (0.0, "float", None),
         "--throttle": (False, None, None),
         "--trace": (None, None, None),
-        "--workers": (None, "int", None),
     },
     "faults": {
         "--cardinality": (5000, "int", None),
@@ -154,7 +153,7 @@ SERVICE_KEYS = {
         "retry_backoff", "retry_budget", "rows", "scale_cooldown",
         "scale_max", "scale_min", "scheduler", "scheduling_cost", "seed",
         "shape", "shard_faults", "shards", "share", "shed", "skew_theta",
-        "strategy", "tenants", "think_time", "throttle", "trace", "workers",
+        "strategy", "tenants", "think_time", "throttle", "trace",
     ],
     "stats": ["stats"],
 }

@@ -13,7 +13,7 @@ its shard's crashes and its hedge siblings
 ``round_robin`` slices still need the query alone on the machine.  The
 contract is the house invariant: the fast path is pure performance, so
 every row, float, and ordering must be byte-identical with the fast
-path on or off, at every worker count, across knob combinations.
+path on or off, across knob combinations.
 ``fast_path_queries`` is the only observable allowed to differ (it
 counts replayed epochs and lives outside the JSONL rows).
 """
@@ -25,7 +25,6 @@ import re
 import pytest
 
 from repro import api
-from repro.runner import SweepSpec, WorkloadTraffic, run_sweep
 from repro.sim import MachineConfig
 from repro.sim import turbo
 from repro.workload import ExclusivePolicy, QuerySpec, WorkloadEngine
@@ -160,43 +159,6 @@ class TestEligibility:
             policy="exclusive", strategy="FP", cardinality=300, config=FAST,
         )
         assert "fast path: 2 queries" in result.summary()
-
-
-class TestRunnerFanout:
-    """The fast path must survive the runner's process-pool fan-out:
-    identical JSONL at workers=1 and workers=4, fast path on or off,
-    and one shared cache address for both settings."""
-
-    def spec(self, fast_path):
-        return SweepSpec(
-            shapes=("wide_bushy",),
-            strategies=("FP",),
-            processors=(12,),
-            cardinalities=(400,),
-            configs=(FAST,),
-            schedulers=("fifo",),
-            workload=WorkloadTraffic(
-                rate=0.15, duration=30.0, seed=7, fast_path=fast_path
-            ),
-        )
-
-    def test_workers_and_fast_path_rows_identical(self):
-        baseline = run_sweep(self.spec(True), workers=1, cache=False).rows()
-        for fast_path in (True, False):
-            for workers in (1, 4):
-                run = run_sweep(
-                    self.spec(fast_path), workers=workers, cache=False
-                )
-                assert run.rows() == baseline, (
-                    f"rows diverged at workers={workers}, "
-                    f"fast_path={fast_path}"
-                )
-
-    def test_fast_path_shares_the_cache_address(self):
-        (on_job,) = self.spec(True).expand()
-        (off_job,) = self.spec(False).expand()
-        assert on_job.key() == off_job.key()
-        assert "fast_path" not in on_job.payload()["workload"]
 
 
 def observed(result):
